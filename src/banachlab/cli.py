@@ -2,8 +2,10 @@
 
 Every command is pure: identical invocations produce byte-identical
 output (fixed seeds, sorted JSON keys).  Exit codes: 0 success or
-reported, 1 hard-assertion failure, 2 usage or input error, 3 refusal
-because a support cap or enumeration budget was exceeded.
+reported, 1 hard-assertion failure or any other library error, 2 usage
+or input error, 3 refusal because a support cap or enumeration budget
+was exceeded.  Library errors print one `error:` or `refused:` line to
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .embeddings import (
     XpqBranch,
     measure_distortion,
 )
-from .errors import CapExceeded, InputError
+from .errors import BanachLabError, CapExceeded, InputError
 from .hamming import HammingSpace, hamming_distance, johnson_distance, parse_ksubset
 from .norms import NormEngine, brute_force_tsirelson
 from .report import encode_value
@@ -325,9 +327,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
+    except BanachLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InputError) else 1
 
 
 if __name__ == "__main__":

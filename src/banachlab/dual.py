@@ -11,14 +11,17 @@ with columns generated on demand: the separation oracle for the dual
 vector y of the restricted program is the Tsirelson-norm DP itself,
 which either certifies ||y||_T <= 1 (optimality: y is a feasible point
 of the polytope attaining the restricted optimum) or produces a norming
-functional with f(y) > 1 to enter as a fresh column.  Both the value and
-the witness come out exactly rational.
+functional with f(y) > 1 to enter as a fresh column.  A functional of
+depth k has coefficients +-2^-i with i <= k, so it enters the integer
+simplex as the column 2^k f with cost 2^k.  Both the value and the
+witness come out exactly rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .caps import Caps, get_caps
@@ -27,6 +30,7 @@ from .norms import Functional, NormEngine, norming_set, tsirelson_norm_witness
 from .simplex import SimplexError, StandardFormSimplex, maximize_over_unit_polytope
 from .vectors import SparseVec, inner_product
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -52,11 +56,12 @@ def dual_norm(x: SparseVec, caps: Optional[Caps] = None) -> LPResult:
     columns: list[tuple[dict, int]] = []
 
     def add(coeffs: dict, depth: int) -> int:
-        dense = [Fraction(0)] * len(positions)
+        scale = 1 << depth
+        column = [0] * len(positions)
         for p, c in coeffs.items():
-            dense[row_of[p]] = c
+            column[row_of[p]] = c.numerator * (scale // c.denominator)
         columns.append((coeffs, depth))
-        return sx.add_column(dense, ONE)
+        return sx.add_column(column, scale)
 
     basis = []
     for p, value in zip(positions, coords):
@@ -128,11 +133,11 @@ def decomposition_weight(x: SparseVec, result: LPResult) -> Fraction:
     cols = [[f.coefficients[(p,)] for p in positions] for f in result.certificate]
     if len(cols) != m:
         raise SimplexError("certificate is not a basis")
-    # solve B t = x by Gaussian elimination on the small system
-    from .simplex import _invert, _mat_vec
-
+    # solve B t = x by rational Gauss-Jordan, independent of the
+    # simplex's integer basis update
     binv = _invert([[cols[j][i] for j in range(m)] for i in range(m)])
-    t = _mat_vec(binv, [x[(p,)] for p in positions])
+    coords = [x[(p,)] for p in positions]
+    t = [sum(map(mul, row, coords), ZERO) for row in binv]
     if any(v < 0 for v in t):
         raise SimplexError("certificate weights are not nonnegative")
     rebuilt: dict = {}
@@ -142,3 +147,20 @@ def decomposition_weight(x: SparseVec, result: LPResult) -> Fraction:
     if SparseVec(rebuilt) != x:
         raise SimplexError("certificate does not reproduce x")
     return sum(t, Fraction(0))
+
+
+def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    n = len(matrix)
+    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot_row is None:
+            raise SimplexError("singular basis matrix")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [v / pivot for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [work[r][k] - factor * work[col][k] for k in range(2 * n)]
+    return [row[n:] for row in work]

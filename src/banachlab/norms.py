@@ -9,10 +9,24 @@ a tail of the support; dropping leading support points is what buys a
 larger admissible part count.  This reduction is *tested* against the
 set-family oracle `brute_force_tsirelson`, not assumed.
 
+The DP runs bottom-up in integers.  Coefficients are scaled by
+lcm(denominators) * 2^(m-1) for a support of size m; a functional's
+depth is at most m-1, so every value is an integer and every halving is
+an exact `>> 1`.  Only one part count is evaluated per start s of an
+interval [i..j]: n = min(pos[s], j-s+1), the largest admissible one.
+The best sum of part norms over splits into n chunks is nondecreasing
+in n, because splitting a chunk cannot lower the sum (triangle
+inequality), so the largest n attains the maximum over all n.  The
+witness functional makes the choices a scan of every (coordinate, s, n,
+split) with strict improvement would make: the first maximal coordinate
+when it attains the norm, else the smallest s, the smallest n and the
+first split attaining it.  These are recovered lazily, only along the
+witness path.
+
 The modified norm searches disjoint families via a subset DP, and the
 partition-scaled (gauge) norm uses the same interval DP without the
-admissibility constraint.  Both recursions bottom out in coordinate
-absolute values.
+admissibility constraint, in floats.  Both recursions bottom out in
+coordinate absolute values.
 """
 
 from __future__ import annotations
@@ -20,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import add
 from typing import Iterable, Optional
 
 from .caps import Caps, get_caps
@@ -91,79 +107,92 @@ def _nonempty_subsets(seq: tuple):
 
 
 class _TsirelsonDP:
-    """Shared DP core; records decisions so a norming functional witnessing
-    the value can be reconstructed on demand."""
+    """Integer interval DP over the support of x, bottom-up.
+
+    `table[i][j]` is the norm of x restricted to support points i..j,
+    times `scale`.  A family candidate for [i..j] starts at some s >= i
+    and takes n = min(pos[s], j-s+1) chunks of [s..j].  For a fixed
+    right end j, `sums[k][a]` is the best sum of part norms over splits
+    of [a..j] into k chunks (`sums[1]` is column j of the table).  It is
+    filled only for the k a family can have left at a: at most
+    min(pos[a], j-a+1), and at least min(pos[0]-a, j-a+1), since a family
+    starting at s <= a has used at most a-s chunks before a.
+    """
 
     def __init__(self, x: SparseVec):
-        self.pos = [p[0] for p in x.support()]
-        self.coef = [x[(p,)] for p in self.pos]
-        self.norm_memo: dict = {}
-        self.dec: dict = {}
+        pos = self.pos = [p[0] for p in x.support()]
+        coef = [x[(p,)] for p in pos]
+        m = len(pos)
+        self.negative = [c < 0 for c in coef]
+        # depth is at most m-1, so every halving below stays exact
+        self.scale = lcm(*(c.denominator for c in coef)) << max(m - 1, 0)
+        mag = self.mag = [abs(c.numerator) * (self.scale // c.denominator) for c in coef]
+        table = self.table = [[0] * m for _ in range(m)]
         self.sum_memo: dict = {}
-        self.split: dict = {}
+        for j in range(m):
+            sums = [[0] * (j + 2) for _ in range(min(pos[j], j + 1) + 1)]
+            coord = family = 0
+            for i in range(j, -1, -1):
+                row = table[i]
+                length = j - i + 1
+                n = min(pos[i], length)
+                # first chunk [i..t], then k-1 chunks of [t+1..j]
+                for k in range(max(2, min(pos[0] - i, length)), n + 1):
+                    sums[k][i] = max(map(add, row[i : j - k + 2], sums[k - 1][i + 1 : j - k + 3]))
+                if mag[i] > coord:
+                    coord = mag[i]
+                if n >= 2 and sums[n][i] >> 1 > family:
+                    family = sums[n][i] >> 1
+                row[j] = sums[1][i] = max(coord, family)
 
     def value(self) -> Fraction:
         if not self.pos:
             return Fraction(0)
-        return self.norm(0, len(self.pos) - 1)
+        return Fraction(self.table[0][-1], self.scale)
 
-    def norm(self, i: int, j: int) -> Fraction:
-        key = (i, j)
-        if key in self.norm_memo:
-            return self.norm_memo[key]
-        best, arg = Fraction(0), None
-        for t in range(i, j + 1):
-            mag = abs(self.coef[t])
-            if mag > best:
-                best, arg = mag, ("coord", t)
-        for s in range(i, j + 1):
-            nmax = min(self.pos[s], j - s + 1)
-            for n in range(2, nmax + 1):
-                cand = HALF * self.best_sum(s, j, n)
-                if cand > best:
-                    best, arg = cand, ("family", s, n)
-        self.norm_memo[key] = best
-        self.dec[key] = arg
-        return best
-
-    def best_sum(self, s: int, j: int, n: int) -> Fraction:
-        """Max of sum of part norms over splits of [s..j] into n chunks."""
+    def best_sum(self, s: int, j: int, n: int) -> int:
+        """Max of sum of part norms over splits of [s..j] into n chunks;
+        computed on demand for the witness path only."""
         if n == 1:
-            return self.norm(s, j)
+            return self.table[s][j]
         key = (s, j, n)
-        if key in self.sum_memo:
-            return self.sum_memo[key]
-        best, arg = None, None
-        for t in range(s, j - n + 2):
-            cand = self.norm(s, t) + self.best_sum(t + 1, j, n - 1)
-            if best is None or cand > best:
-                best, arg = cand, t
-        self.sum_memo[key] = best
-        self.split[key] = arg
-        return best
+        if key not in self.sum_memo:
+            row = self.table[s]
+            self.sum_memo[key] = max(
+                row[t] + self.best_sum(t + 1, j, n - 1) for t in range(s, j - n + 2)
+            )
+        return self.sum_memo[key]
 
-    def witness(self, i: int, j: int) -> tuple[dict, int]:
-        """Functional coefficients and generation depth attaining norm(i, j)."""
-        arg = self.dec[(i, j)]
-        if arg[0] == "coord":
-            t = arg[1]
-            sign = ONE if self.coef[t] >= 0 else -ONE
-            return {self.pos[t]: sign}, 0
-        _, s, n = arg
-        chunks, start = [], s
-        for parts_left in range(n, 1, -1):
-            t = self.split[(start, j, parts_left)]
-            chunks.append((start, t))
-            start = t + 1
-        chunks.append((start, j))
-        coeffs: dict = {}
+    def witness(self, i: int, j: int, level: int, coeffs: dict) -> int:
+        """Write the functional attaining norm(i, j), scaled by 2^-level,
+        into coeffs and return its generation depth.
+
+        The choice is the one a full scan over (coordinate, s, n, split)
+        with strict improvement makes: the first maximal coordinate if it
+        attains the norm, else the smallest s, then the smallest n, then
+        the first split attaining it."""
+        value = self.table[i][j]
+        for t in range(i, j + 1):
+            if self.mag[t] == value:
+                coeffs[self.pos[t]] = Fraction(-1 if self.negative[t] else 1, 1 << level)
+                return 0
+        twice = 2 * value
+        for s in range(i, j + 1):
+            top = min(self.pos[s], j - s + 1)
+            if top >= 2 and self.best_sum(s, j, top) == twice:
+                break
+        n = next(n for n in range(2, top + 1) if self.best_sum(s, j, n) == twice)
         depth = 0
-        for a, b in chunks:
-            part, part_depth = self.witness(a, b)
-            depth = max(depth, part_depth)
-            for p, c in part.items():
-                coeffs[p] = HALF * c
-        return coeffs, depth + 1
+        for left in range(n, 1, -1):
+            total = self.best_sum(s, j, left)
+            row = self.table[s]
+            t = next(
+                t for t in range(s, j - left + 2)
+                if row[t] + self.best_sum(t + 1, j, left - 1) == total
+            )
+            depth = max(depth, self.witness(s, t, level + 1, coeffs))
+            s = t + 1
+        return max(depth, self.witness(s, j, level + 1, coeffs)) + 1
 
 
 def tsirelson_norm(x: SparseVec) -> Fraction:
@@ -178,7 +207,8 @@ def tsirelson_norm_witness(x: SparseVec) -> tuple[Fraction, dict, int]:
     value = dp.value()
     if not x:
         return value, {}, 0
-    coeffs, depth = dp.witness(0, len(dp.pos) - 1)
+    coeffs: dict = {}
+    depth = dp.witness(0, len(dp.pos) - 1, 0, coeffs)
     return value, coeffs, depth
 
 

@@ -131,6 +131,19 @@ class TestExitCodes:
         code, _, _ = run_cli(["norm", "--space", "l1", "--vec", "1:1", "--oracle"], capsys)
         assert code == 2
 
+    def test_library_error_is_one(self, capsys, monkeypatch):
+        from banachlab import cli
+        from banachlab.simplex import SimplexError
+
+        def fail(*args):
+            raise SimplexError("pivot limit exceeded")
+
+        monkeypatch.setattr(cli, "dual_norm", fail)
+        code, out, err = run_cli(["dual-norm", "--vec", "1:1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: pivot limit exceeded\n"
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
