@@ -2,10 +2,11 @@
 
 The caps exist because three of the evaluators are exponential in the
 support size: the brute-force norm oracle and the norming-set
-enumeration (`tsirelson`), the modified-norm set-partition search
-(`modified`), and the dual-norm LP (`dual`).  They are configuration
-values, not hard constants, and can be overridden through the
-environment variable BANACHLAB_CAPS, e.g.
+enumeration (`tsirelson`), the modified norm's integer bitmask subset
+DP over set partitions (`modified`, which also bounds the supports
+`estimate_cm` enumerates), and the dual-norm LP (`dual`).  They are
+configuration values, not hard constants, and can be overridden through
+the environment variable BANACHLAB_CAPS, e.g.
 
     BANACHLAB_CAPS=tsirelson=10,modified=8,dual=10
 """

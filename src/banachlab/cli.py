@@ -135,14 +135,25 @@ def _parse_embedding(text: str):
             continue
         key, _, value = item.partition("=")
         params[key.strip()] = value.strip()
+    def param(key, default=None):
+        if key in params:
+            return params[key]
+        if default is None:
+            raise InputError(f"embedding {name!r} needs parameter {key!r}")
+        return default
     def pvalue(key):
-        raw = params[key]
-        return None if raw == "inf" else parse_rational(raw)
+        value = param(key)
+        return None if value == "inf" else parse_rational(value)
+    def ivalue(key, default=None):
+        value = param(key, default)
+        try:
+            return int(value)
+        except ValueError:
+            raise InputError(f"parameter {key!r} must be an integer, got {value!r}") from None
     if name == "prop73":
-        return Prop73(pvalue("p"), int(params["k"]))
+        return Prop73(pvalue("p"), ivalue("k"))
     if name == "xpq":
-        width = int(params.get("w", 8))
-        return XpqBranch(pvalue("p"), pvalue("q"), int(params["k"]), width)
+        return XpqBranch(pvalue("p"), pvalue("q"), ivalue("k"), ivalue("w", "8"))
     raise InputError(f"unknown embedding spec {text!r}")
 
 

@@ -23,10 +23,13 @@ when it attains the norm, else the smallest s, the smallest n and the
 first split attaining it.  These are recovered lazily, only along the
 witness path.
 
-The modified norm searches disjoint families via a subset DP, and the
-partition-scaled (gauge) norm uses the same interval DP without the
-admissibility constraint, in floats.  Both recursions bottom out in
-coordinate absolute values.
+The modified norm, a maximum over families of disjoint sets, is an
+integer bitmask subset DP with the same scaling: support point i is bit
+i, masks are filled in increasing order (every submask comes first),
+and a partition of a mask into n parts is searched with the part
+holding its lowest bit first.  The partition-scaled (gauge) norm uses
+the interval DP without the admissibility constraint, in floats.  Every
+recursion bottoms out in coordinate absolute values.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import inf, isinf, lcm
 from operator import add
 from typing import Iterable, Optional
 
@@ -244,55 +247,69 @@ def brute_force_tsirelson(x: SparseVec, caps: Optional[Caps] = None) -> Fraction
 
 
 def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
-    """Search over families of disjoint nonempty sets, every part with
-    minimum >= the part count.  Exhaustive over set partitions of the
-    eligible support, which caps the usable support size."""
+    """Max over families of disjoint nonempty sets, every part with
+    minimum >= the part count, by an integer bitmask subset DP.
+
+    `norm[S]` is the norm of x restricted to the support points in mask
+    S, times lcm(denominators) * 2^(m-1).  A family of n parts may use
+    the points S & elig[n] (position >= n), and uses all of them: the
+    norm is unconditional, so adding a point to a part never lowers it.
+    The search over set partitions is exponential, hence the cap."""
     caps = caps or get_caps()
     if x and x.depth != 1:
         raise InputError("the modified norm is defined on depth-1 vectors")
     caps.check("modified", len(x))
     if not x:
         return Fraction(0)
-    coef = {p[0]: v for p, v in x.items()}
-    norm_memo: dict = {}
-    part_memo: dict = {}
+    pos = [p[0] for p in x.support()]
+    coef = [x[(p,)] for p in pos]
+    m = len(pos)
+    scale = lcm(*(c.denominator for c in coef)) << (m - 1)
+    mag = [abs(c.numerator) * (scale // c.denominator) for c in coef]
+    elig = [sum(1 << i for i in range(m) if pos[i] >= n) for n in range(m + 1)]
+    size = [0] * (1 << m)
+    for S in range(1, 1 << m):
+        size[S] = size[S >> 1] + (S & 1)
+    norm = [0] * (1 << m)
+    # parts[n][V]: best sum of part norms over partitions of V into n
+    # parts, -1 until computed; one part is the norm itself
+    parts = [norm, norm] + [[-1] * (1 << m) for _ in range(2, m + 1)]
 
-    def m_norm(S: tuple) -> Fraction:
-        if S in norm_memo:
-            return norm_memo[S]
-        best = max(abs(coef[p]) for p in S)
-        for n in range(2, len(S) + 1):
-            eligible = tuple(p for p in S if p >= n)
-            if len(eligible) < n:
-                break
-            cand = HALF * best_partition(eligible, n)
-            if cand > best:
-                best = cand
-        norm_memo[S] = best
-        return best
-
-    def best_partition(V: tuple, n: int) -> Fraction:
-        """Max of sum of part norms over partitions of V into n parts;
-        the part containing min(V) is enumerated first to avoid
-        revisiting permutations."""
-        if n == 1:
-            return m_norm(V)
-        key = (V, n)
-        if key in part_memo:
-            return part_memo[key]
-        head, rest = V[0], V[1:]
-        best = None
-        for r in range(0, len(rest) - n + 2):
-            for extra in combinations(rest, r):
-                first = (head,) + extra
-                remaining = tuple(p for p in rest if p not in extra)
-                cand = m_norm(first) + best_partition(remaining, n - 1)
-                if best is None or cand > best:
+    def best_partition(V: int, n: int) -> int:
+        """Fill parts[n][V].  The part holding the lowest bit of V comes
+        first; the walk over its other members keeps only the splits
+        that leave at least n-1 points for the other parts."""
+        low = V & -V
+        rest = V ^ low
+        tails = parts[n - 1]
+        best = 0
+        sub = rest
+        while sub:
+            sub = (sub - 1) & rest
+            remaining = rest ^ sub
+            if size[remaining] >= n - 1:
+                tail = tails[remaining]
+                if tail < 0:
+                    tail = best_partition(remaining, n - 1)
+                cand = norm[low | sub] + tail
+                if cand > best:
                     best = cand
-        part_memo[key] = best
+        parts[n][V] = best
         return best
 
-    return m_norm(tuple(sorted(coef)))
+    for S in range(1, 1 << m):
+        best = max(mag[i] for i in range(m) if S >> i & 1)
+        for n in range(2, size[S] + 1):
+            V = S & elig[n]
+            if size[V] < n:
+                break
+            total = parts[n][V]
+            if total < 0:
+                total = best_partition(V, n)
+            if total >> 1 > best:
+                best = total >> 1
+        norm[S] = best
+    return Fraction(norm[-1], scale)
 
 
 # -- partition-scaled (gauge) norm -----------------------------------------
@@ -345,7 +362,9 @@ def gauge_norm(x: SparseVec, gauge) -> float:
 
 def lp_norm(values, p) -> Fraction | float:
     """lp norm of a list of nonnegative values; exact for p in {1, inf}
-    and for singletons, float otherwise."""
+    and for singletons, float otherwise.  Where a power overflows the
+    float range, the sum is taken over values divided by their maximum;
+    a norm beyond the float range is an input error."""
     values = list(values)
     if not values:
         return Fraction(0)
@@ -359,7 +378,20 @@ def lp_norm(values, p) -> Fraction | float:
             total = total + v
         return total
     expo = float(p)
-    return sum(float(v) ** expo for v in values) ** (1.0 / expo)
+    try:
+        value = sum(float(v) ** expo for v in values) ** (1.0 / expo)
+    except OverflowError:
+        value = inf
+    if isinf(value):
+        top = max(values)
+        ratio = sum(float(v / top) ** expo for v in values) ** (1.0 / expo)
+        try:
+            value = float(top) * ratio
+        except OverflowError:
+            value = inf
+        if isinf(value):
+            raise InputError(f"the l{p} norm exceeds the float range")
+    return value
 
 
 # -- the engine ---------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .caps import Caps, get_caps
 from .dual import dual_norm
 from .embeddings import ell_infty_equivalence
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .norms import NormEngine, modified_norm, tsirelson_norm, _chunkings, _nonempty_subsets
 from .report import VerifierReport
 from .spaces import Repeat, SpaceExpr, Sum, TsirelsonDual, space_depth
@@ -69,6 +69,11 @@ class GridVec:
 
     def cells(self) -> list[tuple[int, int]]:
         return [tuple(p) for p in self.vec.support()]
+
+
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise InputError(f"{name} must be >= 1, got {value}")
 
 
 def _as_vec(w) -> SparseVec:
@@ -202,11 +207,8 @@ def estimate_cm(
     never exceeds the modified norm) is asserted exactly on every
     sample."""
     caps = caps or get_caps()
-    if max_support > 8:
-        raise CapExceeded(
-            f"max_support {max_support} > 8: the modified-norm partition "
-            "search blows up past this point"
-        )
+    _require_positive("max_support", max_support)
+    caps.check("modified", max_support)
     rng = random.Random(seed)
     vectors = [
         SparseVec({(p,): ONE for p in subset})
@@ -354,6 +356,7 @@ def hat_select(
     past column k), each with norm at most 1.
     """
     caps = caps or get_caps()
+    _require_positive("k", k)
     M = k ** (k + 1)
     vecs = [_as_vec(w) for w in w_list]
     if len(vecs) != M:
@@ -553,6 +556,7 @@ def hat_sampled_report(
     merge the outcomes; every instance must select successfully and pass
     the proximity and sign-sum assertions."""
     caps = caps or get_caps()
+    _require_positive("k", k)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
@@ -587,6 +591,7 @@ def c0_sampled_report(
 ) -> VerifierReport:
     """Seeded-instance harness for the block subsequence selection."""
     caps = caps or get_caps()
+    _require_positive("k", k)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None

@@ -144,6 +144,25 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: pivot limit exceeded\n"
 
+    BAD_INPUTS = [
+        ["verify", "cm", "--max-support", "0"],
+        ["verify", "cm", "--max-support", "-1"],
+        ["verify", "hat", "--k", "0"],
+        ["verify", "c0-subseq", "--k", "0"],
+        ["distortion", "--embedding", "prop73:p=1", "--n", "4"],
+        ["distortion", "--embedding", "xpq:p=2,q=1", "--n", "4"],
+        ["distortion", "--embedding", "prop73:k=2", "--n", "4"],
+        ["norm", "--space", "lp(3)", "--vec", f"1:{10**400},2:1"],
+    ]
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
+    def test_bad_input_is_one_error_line(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags

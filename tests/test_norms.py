@@ -146,33 +146,40 @@ class TestWitness:
 def brute_modified(coef: dict) -> Fraction:
     """Independent oracle: recursion over ALL families of disjoint
     nonempty subsets with part minimum at least the part count, with no
-    partition reduction."""
-    supp = tuple(sorted(coef))
-    best = max(abs(v) for v in coef.values())
-    for n in range(2, len(supp) + 1):
-        eligible = [p for p in supp if p >= n]
-        if len(eligible) < n:
-            break
-        # label each eligible point: 0 unused, 1..n part membership
-        for labels in _assignments(len(eligible), n):
-            parts = [
-                [p for p, l in zip(eligible, labels) if l == j]
-                for j in range(1, n + 1)
-            ]
-            if any(not part for part in parts):
-                continue
-            total = sum(
-                (brute_modified({p: coef[p] for p in part}) for part in parts),
-                F(0),
-            )
-            best = max(best, F(1, 2) * total)
-    return best
+    partition reduction (points may stay unused).  Each family is
+    enumerated once; norms of sub-vectors are memoized."""
+    memo: dict = {}
+
+    def norm(points: tuple) -> Fraction:
+        if points not in memo:
+            best = max(abs(coef[p]) for p in points)
+            for n in range(2, len(points) + 1):
+                eligible = tuple(p for p in points if p >= n)
+                if len(eligible) < n:
+                    break
+                for parts in _families(eligible, n):
+                    best = max(best, F(1, 2) * sum(map(norm, parts)))
+            memo[points] = best
+        return memo[points]
+
+    return norm(tuple(sorted(coef)))
 
 
-def _assignments(length, n):
-    from itertools import product as iproduct
-
-    return iproduct(range(n + 1), repeat=length)
+def _families(points: tuple, n: int, parts: tuple = ()):
+    """Every family of exactly n disjoint nonempty subsets of `points`,
+    once each: each point is left out, joins one of the open parts, or
+    opens the next part."""
+    if len(parts) + len(points) < n:
+        return
+    if not points:
+        yield parts
+        return
+    head, rest = points[0], points[1:]
+    yield from _families(rest, n, parts)
+    for j in range(len(parts)):
+        yield from _families(rest, n, parts[:j] + (parts[j] + (head,),) + parts[j + 1 :])
+    if len(parts) < n:
+        yield from _families(rest, n, parts + ((head,),))
 
 
 def brute_gauge(coef: dict, gauge) -> float:
@@ -204,6 +211,30 @@ def _splits(seq, n):
             parts.append(seq[prev:cut])
             prev = cut
         yield parts
+
+
+# values of the earlier Fraction-valued partition search on 0/1 and
+# seeded rational vectors at supports 8-12; the bitmask DP reproduces them
+M_PINS = [
+    ('1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1', '2'),
+    ('2:1,4:1,6:1,9:1,11:1,13:1,14:1,16:1', '3'),
+    ('8:5/6,9:-3/4,10:1/7,11:1,12:-5/7,13:-3,14:-1,16:1', '709/168'),
+    ('2:-3/4,6:5/2,7:2/3,9:5/4,12:-3/5,13:1,14:5/7,15:1/3', '2827/840'),
+    ('1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1', '5/2'),
+    ('4:1,5:1,7:1,8:1,9:1,10:1,14:1,15:1,16:1', '7/2'),
+    ('1:-1/2,3:5/6,4:-1/2,9:1/2,10:-1/7,13:5/6,16:1/5,17:-1/2,18:3/4', '1229/840'),
+    ('4:5/7,5:3/5,7:-1/3,10:-5,11:-5/7,13:5/3,14:5/4,16:5/7,17:-1/3', '841/168'),
+    ('1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1', '5/2'),
+    ('4:1,5:1,9:1,10:1,11:1,12:1,13:1,15:1,16:1,18:1', '4'),
+    ('2:1/6,3:1,5:-1/2,6:3/2,8:-3/5,11:-3/5,14:5,15:-1/6,16:-3,19:-5/7', '799/140'),
+    ('1:1,3:-2/5,4:-5,5:-2/5,9:-1/4,11:1/2,12:1,15:3/4,16:-1,20:1/5', '5'),
+    ('1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1', '3'),
+    ('1:1,2:1,3:1,6:1,8:1,9:1,11:1,12:1,13:1,17:1,19:1', '7/2'),
+    ('3:-5/4,4:-3/5,6:-2,9:-5/2,10:3/5,11:-1/6,15:1/2,16:3,19:-1/7,21:-1/6,22:-1/4', '7529/1680'),
+    ('1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1,12:1', '3'),
+    ('3:1,5:1,6:1,7:1,9:1,13:1,14:1,16:1,17:1,18:1,22:1,23:1', '4'),
+    ('6:1/7,8:1/5,9:-3/7,10:1/2,12:5,14:5/6,15:-1/2,16:-5,20:-2/3,21:-2,22:-1,23:2/7', '223/28'),
+]
 
 
 class TestModifiedNorm:
@@ -249,6 +280,29 @@ class TestModifiedNorm:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             modified_norm(ones(range(1, 14)))
+
+    def test_bitmask_kernel_on_seeded_rationals(self):
+        # positions in 1..9, so the eligibility cut p >= n bites
+        rng = random.Random(1009)
+        for _ in range(300):
+            chosen = rng.sample(range(1, 10), rng.randint(1, 7))
+            coef = {
+                p: F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 7))
+                for p in chosen
+            }
+            x = SparseVec({(p,): c for p, c in coef.items()})
+            assert modified_norm(x) == brute_modified(coef), coef
+
+    @pytest.mark.parametrize("text, value", M_PINS, ids=range(len(M_PINS)))
+    def test_pinned_values(self, text, value):
+        assert modified_norm(vec(text)) == F(value)
+
+    def test_support_12_completes(self):
+        # every part is eligible at every part count: the largest search
+        # the cap allows
+        x = vec("12:5/3,13:1,14:3,15:1/2,16:1/6,17:5/6,18:-1/5,19:-5/6,20:-1/2,21:1,22:1,23:-1")
+        assert modified_norm(x) == F(117, 20)
+
 
 
 class TestGaugeNorm:
@@ -393,3 +447,12 @@ class TestLpHelper:
         assert lp_norm([F(1), F(2)], None) == 2
         assert lp_norm([F(7, 3)], F(2)) == F(7, 3)
         assert abs(lp_norm([F(3), F(4)], F(2)) - 5.0) < 1e-12
+
+    def test_overflowing_powers_scale_by_the_maximum(self):
+        # 10^200 cubed leaves the float range; the norm itself does not
+        assert lp_norm([F(10**200), F(1)], F(3)) == 1e200
+        assert lp_norm([F(10**154), F(10**154)], F(3)) == pytest.approx(2 ** (1 / 3) * 1e154)
+
+    def test_norm_beyond_the_float_range_is_an_input_error(self):
+        with pytest.raises(InputError):
+            lp_norm([F(10**400), F(1)], F(3))

@@ -114,7 +114,7 @@ class TestEstimateCM:
 
     def test_support_precondition(self):
         with pytest.raises(CapExceeded):
-            estimate_cm(max_support=9)
+            estimate_cm(max_support=13)
 
 
 class TestLemmaL2:
