@@ -36,16 +36,14 @@ from .norms import (
     AdmissibleFamily,
     Functional,
     NormEngine,
-    brute_force_tsirelson,
     gauge_norm,
     is_admissible,
     lp_norm,
     modified_norm,
-    norming_set,
-    norming_set_max,
     tsirelson_norm,
     tsirelson_norm_witness,
 )
+from .oracles import brute_force_tsirelson, norming_set, norming_set_max
 from .report import VerifierReport
 from .spaces import (
     FGauge,
@@ -78,7 +76,6 @@ from .vectors import (
     unit,
 )
 from .verifiers import (
-    GridVec,
     estimate_cm,
     estimate_dm,
     hat_select,

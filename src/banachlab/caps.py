@@ -1,10 +1,11 @@
 """Support caps guarding the combinatorial evaluators.
 
-The caps exist because three of the evaluators are exponential in the
-support size: the brute-force norm oracle and the norming-set
-enumeration (`tsirelson`), the modified norm's integer bitmask subset
-DP over set partitions (`modified`, which also bounds the supports
-`estimate_cm` enumerates), and the dual-norm LP (`dual`).  They are
+The caps exist because three routes are exponential in the support
+size: the reference routes in `oracles` (`tsirelson`: the brute-force
+norm oracle and the norming-set enumeration; no production evaluator
+checks it), the modified norm's integer bitmask subset DP over set
+partitions (`modified`, which also bounds the supports `estimate_cm`
+enumerates), and the dual-norm LP (`dual`).  They are
 configuration values, not hard constants, and can be overridden through
 the environment variable BANACHLAB_CAPS, e.g.
 

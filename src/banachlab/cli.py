@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .caps import get_caps
@@ -21,11 +22,13 @@ from .embeddings import (
     ArrayEmbed,
     Prop73,
     XpqBranch,
+    distortion_pairs,
     measure_distortion,
 )
 from .errors import BanachLabError, CapExceeded, InputError
 from .hamming import HammingSpace, hamming_distance, johnson_distance, parse_ksubset
-from .norms import NormEngine, brute_force_tsirelson
+from .norms import NormEngine
+from .oracles import brute_force_tsirelson
 from .report import encode_value
 from .spaces import Tsirelson, format_space, parse_space
 from .vectors import format_vector, parse_vector, parse_rational
@@ -45,7 +48,13 @@ def _decimal(value) -> str:
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
-        return f"{float(value):.10g}"
+        try:
+            value = float(value)
+        except OverflowError:
+            # beyond the float range: round to 10 digits in decimal
+            with localcontext() as ctx:
+                ctx.prec = 10
+                value = Decimal(value.numerator) / value.denominator
     return f"{value:.10g}"
 
 
@@ -201,34 +210,16 @@ def cmd_distortion(args) -> int:
         data["distortion_decimal"] = round(float(report.distortion), args.decimal)
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
     if args.csv:
-        _write_distortion_csv(args, spec, metric, metric_space)
-    return 0
-
-
-def _write_distortion_csv(args, spec, metric, metric_space) -> None:
-    from itertools import combinations
-
-    from .embeddings import ambient_space, embed
-    from .hamming import make_ksubset
-
-    engine = NormEngine(ambient_space(spec), get_caps())
-    if metric == "hamming":
-        dist = lambda a, b: Fraction(hamming_distance(a, b))
-    elif metric == "johnson":
-        dist = johnson_distance
-    else:
-        dist = HammingSpace(spec.k, metric_space, get_caps()).distance
-    with open(args.csv, "w", encoding="utf-8") as handle:
-        handle.write("a,b,metric,embedded,ratio\n")
-        points = [make_ksubset(c) for c in combinations(range(1, args.n + 1), spec.k)]
-        for i, a in enumerate(points):
-            for b in points[i + 1:]:
-                d = dist(a, b)
-                value = engine.norm(embed(spec, a) - embed(spec, b))
+        with open(args.csv, "w", encoding="utf-8") as handle:
+            handle.write("a,b,metric,embedded,ratio\n")
+            for a, b, d, value in distortion_pairs(
+                spec, metric, args.n, get_caps(), metric_space=metric_space
+            ):
                 handle.write(
                     f"{' '.join(map(str, a))},{' '.join(map(str, b))},"
                     f"{encode_value(d)},{encode_value(value)},{encode_value(value / d)}\n"
                 )
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -241,7 +232,10 @@ def cmd_verify(args) -> int:
     elif lemma == "cm":
         report = estimate_cm(args.max_support, args.samples, args.seed, caps)
     elif lemma == "l2":
-        cuts = [int(c) for c in args.cuts.split(",")]
+        try:
+            cuts = [int(c) for c in args.cuts.split(",")]
+        except ValueError:
+            raise InputError(f"--cuts must be comma-separated integers, got {args.cuts!r}") from None
         report = verify_lemma_l2(args.k, cuts, args.samples, args.seed, args.ceiling, caps)
     elif lemma == "hat":
         report = hat_sampled_report(args.k, args.samples, args.seed, caps)

@@ -21,16 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Optional
 
 from .caps import Caps, get_caps
 from .errors import InputError
-from .norms import Functional, NormEngine, norming_set, tsirelson_norm_witness
-from .simplex import SimplexError, StandardFormSimplex, maximize_over_unit_polytope
+from .norms import Functional, NormEngine, tsirelson_norm_witness
+from .simplex import SimplexError, StandardFormSimplex
 from .vectors import SparseVec, inner_product
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -101,66 +99,3 @@ def verify_duality(x: SparseVec, y: SparseVec, caps: Optional[Caps] = None) -> b
     pairing = inner_product(x, y)
     bound = dual_norm(x, caps).value * NormEngine(Tsirelson(), caps).norm(y)
     return pairing <= bound
-
-
-def dual_norm_reference(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
-    """Independent route for tests: enumerate the full norming set of the
-    support and maximize <x, y> over the inequality polytope with the
-    dense tableau solver.  Exponential; keep supports small."""
-    caps = caps or get_caps()
-    if not x:
-        return Fraction(0)
-    positions = x.leading_support()
-    functionals = norming_set(positions, caps)
-    rows = []
-    for f in functionals:
-        rows.append([f.coefficients[(p,)] for p in positions])
-    objective = [x[(p,)] for p in positions]
-    return maximize_over_unit_polytope(objective, rows)
-
-
-def decomposition_weight(x: SparseVec, result: LPResult) -> Fraction:
-    """Total weight of the decomposition x = sum t_f f carried by the LP
-    basis; re-derives t from the certificate and checks it reproduces x.
-
-    Together with the witness inequality f(y) <= 1 for all f (which holds
-    because ||y||_T <= 1), this certifies that the minimal decomposition
-    weight and the polytope maximum agree: the unit ball of the dual is
-    the closed convex hull of the norming set at this support.
-    """
-    positions = x.leading_support()
-    m = len(positions)
-    cols = [[f.coefficients[(p,)] for p in positions] for f in result.certificate]
-    if len(cols) != m:
-        raise SimplexError("certificate is not a basis")
-    # solve B t = x by rational Gauss-Jordan, independent of the
-    # simplex's integer basis update
-    binv = _invert([[cols[j][i] for j in range(m)] for i in range(m)])
-    coords = [x[(p,)] for p in positions]
-    t = [sum(map(mul, row, coords), ZERO) for row in binv]
-    if any(v < 0 for v in t):
-        raise SimplexError("certificate weights are not nonnegative")
-    rebuilt: dict = {}
-    for weight, f in zip(t, result.certificate):
-        for p, c in f.coefficients.items():
-            rebuilt[p] = rebuilt.get(p, Fraction(0)) + weight * c
-    if SparseVec(rebuilt) != x:
-        raise SimplexError("certificate does not reproduce x")
-    return sum(t, Fraction(0))
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    work = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise SimplexError("singular basis matrix")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [work[r][k] - factor * work[col][k] for k in range(2 * n)]
-    return [row[n:] for row in work]

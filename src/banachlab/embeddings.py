@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .errors import CapExceeded, InputError
 from .hamming import (
     HammingSpace,
     KSubset,
+    check_pair_budget,
     hamming_distance,
     johnson_distance,
     make_ksubset,
-    _binomial,
 )
 from .norms import NormEngine
 from .spaces import LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual
@@ -195,23 +195,20 @@ class DistortionReport:
         }
 
 
-def measure_distortion(
+def distortion_pairs(
     spec: EmbeddingSpec,
     metric: str,
     n: int,
     caps: Optional[Caps] = None,
     metric_space: Optional[SpaceExpr] = None,
     budget: int = 10**6,
-) -> DistortionReport:
-    """Exact min and max of ||f(a) - f(b)|| / d(a, b) over distinct pairs
-    of [n]^k.  `metric` is hamming, johnson, or d_e (with a generator)."""
+) -> Iterator[tuple[KSubset, KSubset, Fraction, Fraction | float]]:
+    """Yield (a, b, d(a, b), ||f(a) - f(b)||) for every pair a < b of
+    [n]^k, in lexicographic order.  `metric` is hamming, johnson, or d_e
+    (with a generator)."""
     caps = caps or get_caps()
     k = spec.k
-    count = _binomial(n, k)
-    if count * count > budget:
-        raise CapExceeded(
-            f"pair budget exceeded: C({n},{k})^2 = {count * count} > {budget}"
-        )
+    check_pair_budget(n, k, budget)
     if metric == "hamming":
         dist = lambda a, b: Fraction(hamming_distance(a, b))
     elif metric == "johnson":
@@ -227,21 +224,34 @@ def measure_distortion(
     engine = NormEngine(ambient_space(spec), caps)
     points = [make_ksubset(c) for c in combinations(range(1, n + 1), k)]
     images = {m: embed(spec, m) for m in points}
-    lower = upper = None
-    argmin = argmax = None
-    pairs = 0
     for i, a in enumerate(points):
         for b in points[i + 1:]:
             d = dist(a, b)
             if d == 0:
                 raise InputError(f"metric vanishes on distinct points {a}, {b}")
-            value = engine.norm(images[a] - images[b])
-            ratio = value / d
-            pairs += 1
-            if lower is None or ratio < lower:
-                lower, argmin = ratio, (a, b)
-            if upper is None or ratio > upper:
-                upper, argmax = ratio, (a, b)
+            yield a, b, d, engine.norm(images[a] - images[b])
+
+
+def measure_distortion(
+    spec: EmbeddingSpec,
+    metric: str,
+    n: int,
+    caps: Optional[Caps] = None,
+    metric_space: Optional[SpaceExpr] = None,
+    budget: int = 10**6,
+) -> DistortionReport:
+    """Exact min and max of ||f(a) - f(b)|| / d(a, b) over the pairs
+    `distortion_pairs` yields."""
+    lower = upper = None
+    argmin = argmax = None
+    pairs = 0
+    for a, b, d, value in distortion_pairs(spec, metric, n, caps, metric_space, budget):
+        ratio = value / d
+        pairs += 1
+        if lower is None or ratio < lower:
+            lower, argmin = ratio, (a, b)
+        if upper is None or ratio > upper:
+            upper, argmax = ratio, (a, b)
     if lower is None:
         raise InputError("need at least two points to measure distortion")
     if lower == 0:

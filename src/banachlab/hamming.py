@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .caps import Caps, get_caps
@@ -92,11 +93,7 @@ class HammingSpace:
         """Max distance over all pairs in [n]^k by enumeration."""
         if n < 2 * self.k:
             raise InputError(f"need n >= 2k = {2 * self.k} to realize the diameter")
-        count = _binomial(n, self.k)
-        if count * count > budget:
-            raise CapExceeded(
-                f"pair budget exceeded: C({n},{self.k})^2 = {count * count} > {budget}"
-            )
+        check_pair_budget(n, self.k, budget)
         points = list(combinations(range(1, n + 1), self.k))
         best = Fraction(0)
         for i, a in enumerate(points):
@@ -107,8 +104,11 @@ class HammingSpace:
         return best
 
 
-def _binomial(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
+def check_pair_budget(n: int, k: int, budget: int) -> None:
+    """Refuse to enumerate the pairs of [n]^k when C(n, k)^2 exceeds
+    the budget."""
+    count = comb(n, k) if min(n, k) >= 0 else 0
+    if count * count > budget:
+        raise CapExceeded(
+            f"pair budget exceeded: C({n},{k})^2 = {count * count} > {budget}"
+        )

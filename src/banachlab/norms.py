@@ -7,7 +7,9 @@ never decreases a part's norm (suppression unconditionality) and
 preserves admissibility, so it suffices to search interval partitions of
 a tail of the support; dropping leading support points is what buys a
 larger admissible part count.  This reduction is *tested* against the
-set-family oracle `brute_force_tsirelson`, not assumed.
+set-family oracle `brute_force_tsirelson`, not assumed; that oracle and
+the other exhaustive reference routes live in `oracles`, apart from
+these evaluators.
 
 The DP runs bottom-up in integers.  Coefficients are scaled by
 lcm(denominators) * 2^(m-1) for a support of size m; a functional's
@@ -27,8 +29,10 @@ The modified norm, a maximum over families of disjoint sets, is an
 integer bitmask subset DP with the same scaling: support point i is bit
 i, masks are filled in increasing order (every submask comes first),
 and a partition of a mask into n parts is searched with the part
-holding its lowest bit first.  The partition-scaled (gauge) norm uses
-the interval DP without the admissibility constraint, in floats.  Every
+holding its lowest bit first.  The partition-scaled (gauge) norm is a
+bottom-up interval DP in floats, shaped like the Tsirelson loop but
+without the admissibility constraint: it fills every part count and
+weighs each by its own 1/f(k), so the two keep separate loops.  Every
 recursion bottoms out in coordinate absolute values.
 """
 
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import inf, isinf, lcm
 from operator import add
 from typing import Iterable, Optional
@@ -55,9 +59,6 @@ from .spaces import (
     validate_vector,
 )
 from .vectors import SparseVec, inner_product
-
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 # -- admissible families ------------------------------------------------
@@ -215,34 +216,6 @@ def tsirelson_norm_witness(x: SparseVec) -> tuple[Fraction, dict, int]:
     return value, coeffs, depth
 
 
-def brute_force_tsirelson(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
-    """Test oracle: explicit recursion over all admissible families of
-    successive nonempty sets.  No interval reduction, no memoization."""
-    caps = caps or get_caps()
-    if x and x.depth != 1:
-        raise InputError("the Tsirelson norm is defined on depth-1 vectors")
-    caps.check("tsirelson", len(x))
-
-    def recurse(vec: dict) -> Fraction:
-        supp = tuple(sorted(vec))
-        best = max(abs(v) for v in vec.values())
-        for chosen in _nonempty_subsets(supp):
-            nmax = min(chosen[0], len(chosen))
-            for n in range(2, nmax + 1):
-                for parts in _chunkings(chosen, n):
-                    total = Fraction(0)
-                    for part in parts:
-                        total += recurse({p: vec[p] for p in part})
-                    cand = HALF * total
-                    if cand > best:
-                        best = cand
-        return best
-
-    if not x:
-        return Fraction(0)
-    return recurse({p[0]: v for p, v in x.items()})
-
-
 # -- modified Tsirelson norm ----------------------------------------------
 
 
@@ -316,45 +289,35 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
 
 
 def gauge_norm(x: SparseVec, gauge) -> float:
-    """Interval DP without the admissibility constraint; each family of l
-    successive parts is scaled by 1/f(l).  Float-valued since the gauges
-    are irrational."""
+    """Interval DP without the admissibility constraint; each family of k
+    successive parts is scaled by 1/f(k).  Float-valued since the gauges
+    are irrational.
+
+    Bottom-up like `_TsirelsonDP`: `table[i][j]` is the norm of x
+    restricted to support points i..j, and for a fixed right end j,
+    `sums[k][a]` is the best sum of part norms over splits of [a..j] into
+    k chunks.  Every k is filled and weighed."""
     if x and x.depth != 1:
         raise InputError("the gauge norm is defined on depth-1 vectors")
     if not x:
         return 0.0
-    supp = x.support()
-    coef = [float(x[p]) for p in supp]
-    norm_memo: dict = {}
-    sum_memo: dict = {}
-
-    def norm(i: int, j: int) -> float:
-        key = (i, j)
-        if key in norm_memo:
-            return norm_memo[key]
-        best = max(abs(coef[t]) for t in range(i, j + 1))
-        for l in range(2, j - i + 2):
-            cand = best_sum(i, j, l) / gauge(l)
-            if cand > best:
-                best = cand
-        norm_memo[key] = best
-        return best
-
-    def best_sum(i: int, j: int, l: int) -> float:
-        if l == 1:
-            return norm(i, j)
-        key = (i, j, l)
-        if key in sum_memo:
-            return sum_memo[key]
-        best = None
-        for t in range(i, j - l + 2):
-            cand = norm(i, t) + best_sum(t + 1, j, l - 1)
-            if best is None or cand > best:
-                best = cand
-        sum_memo[key] = best
-        return best
-
-    return norm(0, len(supp) - 1)
+    mag = [abs(float(x[p])) for p in x.support()]
+    m = len(mag)
+    f = [None, None] + [gauge(k) for k in range(2, m + 1)]
+    table = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        sums = [[0.0] * (j + 2) for _ in range(j + 2)]
+        coord = 0.0
+        for i in range(j, -1, -1):
+            row = table[i]
+            coord = max(coord, mag[i])
+            best = coord
+            # first chunk [i..t], then k-1 chunks of [t+1..j]
+            for k in range(2, j - i + 2):
+                total = sums[k][i] = max(map(add, row[i : j - k + 2], sums[k - 1][i + 1 : j - k + 3]))
+                best = max(best, total / f[k])
+            row[j] = sums[1][i] = best
+    return table[0][-1]
 
 
 # -- finite lp norms ---------------------------------------------------------
@@ -465,7 +428,7 @@ class NormEngine:
 #
 # The minimal set K with {±e_j*} ⊆ K that is closed under
 # f = (f_1 + ... + f_n)/2 over successive supports with n <= min supp(f_1).
-# Generated bottom-up by exact support; every coefficient is ±2^-d.
+# Every coefficient is ±2^-d; the enumeration of K is in `oracles`.
 
 
 @dataclass(frozen=True)
@@ -477,88 +440,3 @@ class Functional:
 
     def __call__(self, y: SparseVec) -> Fraction:
         return inner_product(self.coefficients, y)
-
-
-_exact_cache: dict[tuple, list[tuple[tuple, int]]] = {}
-_maxsum_cache: dict[tuple, Fraction] = {}
-
-
-def _exact_functionals(support: tuple) -> list[tuple[tuple, int]]:
-    """All functionals with support exactly `support`, as
-    (sorted (position, coefficient) items, depth), deduplicated."""
-    if support in _exact_cache:
-        return _exact_cache[support]
-    if len(support) == 1:
-        p = support[0]
-        out = [(((p, ONE),), 0), (((p, -ONE),), 0)]
-    else:
-        found: dict[tuple, int] = {}
-        nmax = min(support[0], len(support))
-        for n in range(2, nmax + 1):
-            for parts in _chunkings(support, n):
-                pools = [_exact_functionals(part) for part in parts]
-                for combo in product(*pools):
-                    items = []
-                    depth = 0
-                    for part_items, part_depth in combo:
-                        depth = max(depth, part_depth)
-                        items.extend((p, HALF * c) for p, c in part_items)
-                    key = tuple(items)
-                    prior = found.get(key)
-                    if prior is None or depth + 1 < prior:
-                        found[key] = depth + 1
-        out = [(k, d) for k, d in found.items()]
-    _exact_cache[support] = out
-    # empty when the support contains 1 and has size >= 2: no composite
-    # family satisfies the part-count bound there
-    _maxsum_cache[support] = (
-        max(sum(c for _, c in items) for items, _ in out) if out else None
-    )
-    return out
-
-
-def norming_set(S: Iterable[int], caps: Optional[Caps] = None) -> list[Functional]:
-    """The finite deduplicated set K_S; max_{f in K_S} f(y) equals the
-    Tsirelson norm for every y supported in S."""
-    caps = caps or get_caps()
-    S = tuple(sorted(set(int(s) for s in S)))
-    if any(s < 1 for s in S):
-        raise InputError("norming-set coordinates must be >= 1")
-    caps.check("tsirelson", len(S))
-    out = []
-    for A in _nonempty_subsets(S):
-        for items, depth in _exact_functionals(A):
-            coeffs = SparseVec({(p,): c for p, c in items})
-            out.append(Functional(coeffs, depth))
-    return out
-
-
-def norming_set_max(y: SparseVec, caps: Optional[Caps] = None) -> Fraction:
-    """max_{f in K_supp(y)} f(y), without materializing Functional objects.
-
-    For 0/1 vectors this is a table lookup of precomputed coefficient
-    sums; otherwise each candidate functional is paired with y exactly.
-    """
-    caps = caps or get_caps()
-    if not y:
-        return Fraction(0)
-    if y.depth != 1:
-        raise InputError("norming-set evaluation needs a depth-1 vector")
-    supp = tuple(y.leading_support())
-    caps.check("tsirelson", len(supp))
-    coef = {p[0]: v for p, v in y.items()}
-    if all(v == 1 for v in coef.values()):
-        best = Fraction(0)
-        for A in _nonempty_subsets(supp):
-            _exact_functionals(A)
-            cand = _maxsum_cache[A]
-            if cand is not None and cand > best:
-                best = cand
-        return best
-    best = None
-    for A in _nonempty_subsets(supp):
-        for items, _depth in _exact_functionals(A):
-            value = sum((c * coef[p] for p, c in items), Fraction(0))
-            if best is None or value > best:
-                best = value
-    return best

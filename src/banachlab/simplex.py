@@ -155,28 +155,3 @@ def _integer_inverse(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
         d = pivot
     sign = 1 if d > 0 else -1
     return [[sign * v for v in row[n:]] for row in work], sign * d
-
-
-def maximize_over_unit_polytope(
-    objective: list[Fraction], rows: list[list[Fraction]]
-) -> Fraction:
-    """maximize objective . y subject to row . y <= 1 for every row, y free.
-
-    Reference solver for cross-checks: y is split into u - v and every
-    constraint gets a slack, then the standard-form machinery runs on the
-    dense tableau.  The slack basis is feasible because every right-hand
-    side is 1, so no phase-1 is needed.  Exponential-size input, test use
-    only.
-    """
-    m = len(rows)
-    n = len(objective)
-    sx = StandardFormSimplex([Fraction(1)] * m)
-    for j in range(n):
-        sx.add_column([rows[i][j] for i in range(m)], -objective[j])
-    for j in range(n):
-        sx.add_column([-rows[i][j] for i in range(m)], objective[j])
-    slack_start = 2 * n
-    for i in range(m):
-        sx.add_column([int(i == r) for r in range(m)], 0)
-    sx.set_basis(list(range(slack_start, slack_start + m)))
-    return -sx.solve()

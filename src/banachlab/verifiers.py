@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, Union
@@ -39,45 +38,23 @@ def tt_space() -> SpaceExpr:
     return Sum(TsirelsonDual(), Repeat(TsirelsonDual()))
 
 
-@dataclass(frozen=True)
-class GridVec:
-    """Depth-2 vector with row and rectangle projections.
-
-    Rectangle projections are idempotent restrictions; projecting to the
-    whole grid is the identity.
-    """
-
-    vec: SparseVec
-
-    def __post_init__(self):
-        if self.vec and self.vec.depth != 2:
-            raise InputError("a grid vector has depth-2 paths")
-
-    def p_row(self, i: int) -> "GridVec":
-        return GridVec(
-            SparseVec({p: v for p, v in self.vec.items() if p[0] == i}, depth=2)
-        )
-
-    def p_rect(self, rows, cols) -> "GridVec":
-        rows, cols = set(rows), set(cols)
-        return GridVec(
-            SparseVec(
-                {p: v for p, v in self.vec.items() if p[0] in rows and p[1] in cols},
-                depth=2,
-            )
-        )
-
-    def cells(self) -> list[tuple[int, int]]:
-        return [tuple(p) for p in self.vec.support()]
-
-
 def _require_positive(name: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{name} must be >= 1, got {value}")
 
 
-def _as_vec(w) -> SparseVec:
-    return w.vec if isinstance(w, GridVec) else w
+def _dual01(caps: Caps):
+    """Memoized dual norm of the 0/1 vector on a tuple of positions."""
+    memo: dict[tuple, Fraction] = {}
+
+    def dual01(subset: tuple) -> Fraction:
+        if subset not in memo:
+            memo[subset] = dual_norm(
+                SparseVec({(p,): ONE for p in subset}), caps
+            ).value
+        return memo[subset]
+
+    return dual01
 
 
 # -- block inequalities in the dual norm --------------------------------
@@ -96,16 +73,9 @@ def verify_block_c0(
     caps = caps or get_caps()
     if variant not in ("strict", "relaxed"):
         raise InputError(f"unknown variant {variant!r}")
+    _require_positive("max_support", max_support)
     caps.check("dual", max_support)
-    memo: dict[tuple, Fraction] = {}
-
-    def dual01(subset: tuple) -> Fraction:
-        if subset not in memo:
-            memo[subset] = dual_norm(
-                SparseVec({(p,): ONE for p in subset}), caps
-            ).value
-        return memo[subset]
-
+    dual01 = _dual01(caps)
     bound = Fraction(2) if variant == "strict" else Fraction(3)
     best = Fraction(0)
     witness = None
@@ -150,15 +120,7 @@ def estimate_dm(
     positions = list(range(n, max_support + 1))
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
-    memo: dict[tuple, Fraction] = {}
-
-    def dual01(subset: tuple) -> Fraction:
-        if subset not in memo:
-            memo[subset] = dual_norm(
-                SparseVec({(p,): ONE for p in subset}), caps
-            ).value
-        return memo[subset]
-
+    dual01 = _dual01(caps)
     best = Fraction(0)
     witness = None
     families = 0
@@ -208,6 +170,8 @@ def estimate_cm(
     sample."""
     caps = caps or get_caps()
     _require_positive("max_support", max_support)
+    if samples < 0:
+        raise InputError(f"samples must be >= 0, got {samples}")
     caps.check("modified", max_support)
     rng = random.Random(seed)
     vectors = [
@@ -275,6 +239,8 @@ def verify_lemma_l2(
     times the disjoint-support constant), so only a configurable sanity
     ceiling is asserted."""
     caps = caps or get_caps()
+    _require_positive("k", k)
+    _require_positive("samples", samples)
     cuts = [int(c) for c in cuts]
     if len(cuts) != k + 1 or cuts[0] != k or any(
         a >= b for a, b in zip(cuts, cuts[1:])
@@ -358,7 +324,7 @@ def hat_select(
     caps = caps or get_caps()
     _require_positive("k", k)
     M = k ** (k + 1)
-    vecs = [_as_vec(w) for w in w_list]
+    vecs = list(w_list)
     if len(vecs) != M:
         raise InputError(f"need k^(k+1) = {M} vectors, got {len(vecs)}")
     engine = NormEngine(tt_space(), caps)
@@ -445,7 +411,7 @@ def select_c0_subsequence(
     constants of the selected blocks."""
     caps = caps or get_caps()
     M = k ** (k + 1)
-    vecs = [_as_vec(x) for x in x_list]
+    vecs = list(x_list)
     if len(vecs) != M:
         raise InputError(f"need k^(k+1) = {M} vectors, got {len(vecs)}")
     engine = NormEngine(tt_space(), caps)
@@ -557,6 +523,7 @@ def hat_sampled_report(
     the proximity and sign-sum assertions."""
     caps = caps or get_caps()
     _require_positive("k", k)
+    _require_positive("samples", samples)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
@@ -592,6 +559,7 @@ def c0_sampled_report(
     """Seeded-instance harness for the block subsequence selection."""
     caps = caps or get_caps()
     _require_positive("k", k)
+    _require_positive("samples", samples)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None

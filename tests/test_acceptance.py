@@ -24,12 +24,11 @@ from banachlab.embeddings import (
 from banachlab.hamming import HammingSpace, hamming_distance
 from banachlab.norms import (
     NormEngine,
-    brute_force_tsirelson,
     lp_norm,
     modified_norm,
-    norming_set_max,
     tsirelson_norm,
 )
+from banachlab.oracles import brute_force_tsirelson, norming_set_max
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, inner_product
 from banachlab.verifiers import estimate_cm, estimate_dm, hat_sampled_report, spreading_witness

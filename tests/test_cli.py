@@ -153,6 +153,16 @@ class TestExitCodes:
         ["distortion", "--embedding", "xpq:p=2,q=1", "--n", "4"],
         ["distortion", "--embedding", "prop73:k=2", "--n", "4"],
         ["norm", "--space", "lp(3)", "--vec", f"1:{10**400},2:1"],
+        ["verify", "l2", "--cuts", "x"],
+        ["verify", "l2", "--k", "0", "--cuts", "0"],
+        ["verify", "block-c0", "--max-support", "0"],
+        ["verify", "hat", "--samples", "0"],
+        ["verify", "c0-subseq", "--samples", "0"],
+        ["verify", "l2", "--samples", "0"],
+        ["verify", "hat", "--samples", "-1"],
+        ["verify", "c0-subseq", "--samples", "-1"],
+        ["verify", "l2", "--samples", "-1"],
+        ["verify", "cm", "--samples", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
@@ -163,10 +173,92 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_samples_still_checks_every_01_vector(self, capsys):
+        code, out, _ = run_cli(
+            ["verify", "cm", "--max-support", "3", "--samples", "0"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["samples"] == 7
+
+    def test_norm_beyond_float_range_prints_decimal(self, capsys):
+        code, out, err = run_cli(["norm", "--space", "T", "--vec", f"1:{10**400}/3"], capsys)
+        assert code == 0
+        assert err == ""
+        assert out == f"3.333333333e+399 (= {10**400}/3)\n"
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
         assert info.value.code == 2
+
+
+class TestDistortionCsv:
+    # --csv files at n = 4, produced by the separate CSV pair loop that
+    # `distortion_pairs` replaced; the bytes must repeat exactly
+    PINS = [
+        ("prop73:p=1,k=2", "hamming",
+         'a,b,metric,embedded,ratio\n'
+         '1 2,1 3,1/1,2/1,2/1\n'
+         '1 2,1 4,1/1,2/1,2/1\n'
+         '1 2,2 3,2/1,4/1,2/1\n'
+         '1 2,2 4,2/1,4/1,2/1\n'
+         '1 2,3 4,2/1,4/1,2/1\n'
+         '1 3,1 4,1/1,2/1,2/1\n'
+         '1 3,2 3,1/1,2/1,2/1\n'
+         '1 3,2 4,2/1,4/1,2/1\n'
+         '1 3,3 4,2/1,4/1,2/1\n'
+         '1 4,2 3,2/1,4/1,2/1\n'
+         '1 4,2 4,1/1,2/1,2/1\n'
+         '1 4,3 4,1/1,2/1,2/1\n'
+         '2 3,2 4,1/1,2/1,2/1\n'
+         '2 3,3 4,2/1,4/1,2/1\n'
+         '2 4,3 4,1/1,2/1,2/1\n'),
+        ("prop73:p=2,k=2", "johnson",
+         'a,b,metric,embedded,ratio\n'
+         '1 2,1 3,1/1,2/1,2/1\n'
+         '1 2,1 4,1/1,2/1,2/1\n'
+         '1 2,2 3,1/1,2.8284271247461903,2.8284271247461903\n'
+         '1 2,2 4,1/1,2.8284271247461903,2.8284271247461903\n'
+         '1 2,3 4,2/1,2.8284271247461903,1.4142135623730951\n'
+         '1 3,1 4,1/1,2/1,2/1\n'
+         '1 3,2 3,1/1,2/1,2/1\n'
+         '1 3,2 4,2/1,2.8284271247461903,1.4142135623730951\n'
+         '1 3,3 4,1/1,2.8284271247461903,2.8284271247461903\n'
+         '1 4,2 3,2/1,2.8284271247461903,1.4142135623730951\n'
+         '1 4,2 4,1/1,2/1,2/1\n'
+         '1 4,3 4,1/1,2/1,2/1\n'
+         '2 3,2 4,1/1,2/1,2/1\n'
+         '2 3,3 4,1/1,2.8284271247461903,2.8284271247461903\n'
+         '2 4,3 4,1/1,2/1,2/1\n'),
+        ("prop73:p=1,k=2", "d_e:T",
+         'a,b,metric,embedded,ratio\n'
+         '1 2,1 3,1/1,2/1,2/1\n'
+         '1 2,1 4,1/1,2/1,2/1\n'
+         '1 2,2 3,1/1,4/1,4/1\n'
+         '1 2,2 4,1/1,4/1,4/1\n'
+         '1 2,3 4,1/1,4/1,4/1\n'
+         '1 3,1 4,1/1,2/1,2/1\n'
+         '1 3,2 3,1/1,2/1,2/1\n'
+         '1 3,2 4,1/1,4/1,4/1\n'
+         '1 3,3 4,1/1,4/1,4/1\n'
+         '1 4,2 3,1/1,4/1,4/1\n'
+         '1 4,2 4,1/1,2/1,2/1\n'
+         '1 4,3 4,1/1,2/1,2/1\n'
+         '2 3,2 4,1/1,2/1,2/1\n'
+         '2 3,3 4,1/1,4/1,4/1\n'
+         '2 4,3 4,1/1,2/1,2/1\n'),
+    ]
+
+    @pytest.mark.parametrize("embedding, metric, expected", PINS, ids=[p[1] for p in PINS])
+    def test_csv_bytes(self, embedding, metric, expected, tmp_path, capsys):
+        path = tmp_path / "pairs.csv"
+        code, _, _ = run_cli(
+            ["distortion", "--embedding", embedding, "--metric", metric, "--n", "4",
+             "--csv", str(path)],
+            capsys,
+        )
+        assert code == 0
+        assert path.read_bytes() == expected.encode()
 
 
 class TestDeterminism:

@@ -7,14 +7,10 @@ from itertools import combinations
 
 import pytest
 
-from banachlab.dual import (
-    decomposition_weight,
-    dual_norm,
-    dual_norm_reference,
-    verify_duality,
-)
+from banachlab.dual import dual_norm, verify_duality
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import tsirelson_norm
+from banachlab.oracles import decomposition_weight, dual_norm_reference
 from banachlab.vectors import SparseVec, inner_product, parse_vector, restrict, unit
 
 F = Fraction

@@ -24,7 +24,8 @@ from banachlab.embeddings import (
 )
 from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import hamming_distance
-from banachlab.norms import NormEngine, brute_force_tsirelson, lp_norm
+from banachlab.norms import NormEngine, lp_norm
+from banachlab.oracles import brute_force_tsirelson
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, parse_vector, unit
 

@@ -13,7 +13,7 @@ from banachlab.hamming import (
     make_ksubset,
     parse_ksubset,
 )
-from banachlab.norms import brute_force_tsirelson
+from banachlab.oracles import brute_force_tsirelson
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec
 

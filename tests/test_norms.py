@@ -17,16 +17,14 @@ from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import (
     AdmissibleFamily,
     NormEngine,
-    brute_force_tsirelson,
     gauge_norm,
     is_admissible,
     lp_norm,
     modified_norm,
-    norming_set,
-    norming_set_max,
     tsirelson_norm,
     tsirelson_norm_witness,
 )
+from banachlab.oracles import brute_force_tsirelson, norming_set, norming_set_max
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, inner_product, parse_vector, restrict, unit
 
@@ -305,7 +303,83 @@ class TestModifiedNorm:
 
 
 
+def _gauge_inputs():
+    """Seeded signed rationals: 240 at support <= 12 and positions < 30,
+    then one each at supports 20, 40 and 60."""
+    rng = random.Random(4099)
+    out = []
+    for size in [rng.randint(1, 12) for _ in range(240)] + [20, 40, 60]:
+        positions = sorted(rng.sample(range(1, max(30, 2 * size)), size))
+        out.append(SparseVec({
+            (p,): F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for p in positions
+        }))
+    return out
+
+
+# repr(gauge_norm(x)) for x in _gauge_inputs(), in S(log2), produced by
+# the earlier recursive memoized DP; the bottom-up DP adds the same two
+# operands for every sum, so every float must repeat bit for bit
+GAUGE_PINS = [
+    '3.8976228505642077', '2.436251607465149', '1.5', '5.678367782143117',
+    '2.240740740740741', '3.3865874512197887', '2.6513668236157377', '3.0',
+    '3.8907334803573206', '9.0', '3.0', '0.8571428571428571', '5.236716954643097',
+    '3.2962962962962963', '1.0555402644426468', '8.0', '4.0196478753516685',
+    '1.1428571428571428', '1.4', '4.0', '4.0', '5.316269222432075',
+    '2.1318916078019683', '2.7431023003140154', '2.513888888888889',
+    '6.624762412500304', '0.28041322380953665', '1.0', '3.0', '8.0',
+    '0.3333333333333333', '7.4105188167330365', '2.0', '1.8', '3.5',
+    '1.6824793428572202', '1.1944444444444444', '8.0', '5.706464394472459', '4.5',
+    '3.246235264116289', '6.724474625860583', '6.0', '2.360353274521792',
+    '3.1267075312815282', '6.472222222222222', '7.0', '1.125', '8.0', '2.525',
+    '6.174012645079185', '7.0', '8.0', '2.2407017773080944', '4.666666666666667',
+    '2.071428571428571', '4.5813898387718295', '9.0', '1.6533194534928588',
+    '8.517551673214676', '3.6211459786289444', '1.8', '6.309297535714575',
+    '3.654134822768025', '2.908786459124283', '5.241302980823179', '2.075057856190571',
+    '1.0', '1.787634301785796', '0.14285714285714285', '3.7855785214287447',
+    '5.04743802857166', '3.616964285714286', '8.202086796428947', '5.0',
+    '3.1546487678572874', '9.02816156798906', '0.3392857142857143', '6.261977804196716',
+    '5.0', '6.242519792392927', '7.0', '5.168118696880717', '8.0', '3.807184634436722',
+    '3.3905191009661975', '1.6404173592857896', '1.0', '3.0104362527552397',
+    '3.0506204692029457', '8.833016550000405', '1.1041270687500506', '3.5',
+    '3.199715178826677', '8.0', '2.4330929808295183', '0.9463946303571862',
+    '1.5803571428571428', '0.6666666666666666', '8.0', '4.5', '9.0', '8.02574086812238',
+    '9.0', '7.097959727678897', '0.875', '1.0', '9.0', '2.8230350938075275', '9.0',
+    '4.0', '4.881000991498455', '1.1428571428571428', '9.0', '3.8188152706346554',
+    '7.003978575621513', '9.0', '4.08015873015873', '1.4', '4.7015524256345405', '4.0',
+    '1.5999999999999999', '7.5711570428574895', '5.540570971380461', '1.125', '7.0',
+    '4.0', '1.3670144660714914', '1.75', '4.678285629995498', '3.0262094965945265',
+    '1.6569084248101373', '1.5', '1.8', '0.8571428571428571', '0.5',
+    '2.3134090964286775', '7.0', '1.75', '1.8138888888888889', '3.7855785214287447',
+    '2.986598657589296', '4.495833333333334', '5.0', '5.833333333333333', '9.0', '1.9',
+    '1.0', '2.3965236810966926', '7.6012013168370824', '0.8333333333333334', '1.6',
+    '2.5', '3.5', '8.0', '4.083333333333333', '4.5', '6.041321860431938', '5.0',
+    '4.1537037037037035', '7.5711570428574895', '6.005548413496425',
+    '2.5481696352675756', '8.0', '2.2082541375001012', '1.2', '6.0',
+    '1.4500117729401174', '8.833016550000405', '6.0', '2.25', '0.8333333333333334',
+    '10.09487605714332', '0.5', '3.986559598264064', '6.0', '3.3649586857144405', '0.6',
+    '0.2', '5.403604447780879', '11.5', '3.9097090229166835', '5.04743802857166',
+    '2.196428571428571', '1.0', '9.0', '3.258095165867735', '0.5', '5.362902905357388',
+    '4.625', '4.0', '2.618122825243963', '9.213887438871275', '1.5', '5.0',
+    '4.69805217418646', '3.7886621919643217', '2.442857142857143', '3.1546487678572874',
+    '6.0', '5.002831832701402', '1.2505929044005675', '0.3333333333333333',
+    '4.521663233928778', '0.14285714285714285', '1.6', '9.0', '4.5', '4.0', '4.0',
+    '9.0', '2.7958023626228456', '4.731973151785931', '6.0', '4.101043398214474',
+    '10.725805810714776', '6.940227289286033', '3.7380935690046986', '7.0',
+    '2.01352720188188', '8.833016550000405', '4.731973151785931', '9.69577890444478',
+    '7.0', '3.9421049707855476', '1.125', '4.15', '0.5', '2.756786790602341', '7.0',
+    '0.7777777777777778', '2.6666666666666665', '2.6666666666666665', '7.0',
+    '2.5171163315757723', '8.0', '9.463946303571863', '10.09487605714332',
+    '1.340725726339347', '9.0', '8.341345744457625', '11.115448996205249',
+    '15.941852523798744',
+]
+
+
 class TestGaugeNorm:
+    def test_pinned_values(self):
+        gauge = parse_space("S(log2)").gauge
+        assert [repr(gauge_norm(x, gauge)) for x in _gauge_inputs()] == GAUGE_PINS
+
     def test_two_singletons(self):
         gauge = parse_space("S(log2)").gauge
         assert abs(gauge_norm(vec("1:1,2:1"), gauge) - 1.2618595071429148) < 1e-9

@@ -12,7 +12,6 @@ from banachlab.norms import NormEngine
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, parse_vector, unit
 from banachlab.verifiers import (
-    GridVec,
     c0_sampled_report,
     estimate_cm,
     estimate_dm,
@@ -29,22 +28,6 @@ from banachlab.verifiers import (
 )
 
 F = Fraction
-
-
-class TestGridVec:
-    def test_rectangle_projection_idempotent(self):
-        g = GridVec(parse_vector("1.2:1,3.4:1/2,5.1:-1"))
-        rect = g.p_rect(range(1, 4), range(1, 5))
-        assert rect.p_rect(range(1, 4), range(1, 5)) == rect
-        assert g.p_rect(range(1, 100), range(1, 100)) == g
-
-    def test_row_projection(self):
-        g = GridVec(parse_vector("1.2:1,3.4:1/2"))
-        assert g.p_row(3).cells() == [(3, 4)]
-
-    def test_depth_guard(self):
-        with pytest.raises(InputError):
-            GridVec(parse_vector("1:1"))
 
 
 class TestBlockC0:
