@@ -23,7 +23,7 @@ from .embeddings import (
     Prop73,
     XpqBranch,
     distortion_pairs,
-    measure_distortion,
+    distortion_report,
 )
 from .errors import BanachLabError, CapExceeded, InputError
 from .hamming import HammingSpace, hamming_distance, johnson_distance, parse_ksubset
@@ -195,13 +195,31 @@ def _load_array_embedding(path: str) -> ArrayEmbed:
     return ArrayEmbed(array, k, space)
 
 
+def _write_rows(pairs, handle):
+    """Pass the distortion pairs through, writing one CSV row for each."""
+    handle.write("a,b,metric,embedded,ratio\n")
+    for a, b, d, value in pairs:
+        handle.write(
+            f"{' '.join(map(str, a))},{' '.join(map(str, b))},"
+            f"{encode_value(d)},{encode_value(value)},{encode_value(value / d)}\n"
+        )
+        yield a, b, d, value
+
+
 def cmd_distortion(args) -> int:
     spec = _parse_embedding(args.embedding)
     metric, _, generator = args.metric.partition(":")
     metric_space = parse_space(generator) if generator else None
-    report = measure_distortion(
-        spec, metric, args.n, get_caps(), metric_space=metric_space
-    )
+    pairs = distortion_pairs(spec, metric, args.n, get_caps(), metric_space=metric_space)
+    if args.csv:
+        try:
+            handle = open(args.csv, "w", encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write csv file {args.csv!r}: {exc}") from None
+        with handle:
+            report = distortion_report(_write_rows(pairs, handle))
+    else:
+        report = distortion_report(pairs)
     data = report.to_dict()
     data["embedding"] = args.embedding
     data["metric"] = args.metric
@@ -209,16 +227,6 @@ def cmd_distortion(args) -> int:
     if args.decimal is not None:
         data["distortion_decimal"] = round(float(report.distortion), args.decimal)
     print(json.dumps(data, sort_keys=True, separators=(",", ":")))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("a,b,metric,embedded,ratio\n")
-            for a, b, d, value in distortion_pairs(
-                spec, metric, args.n, get_caps(), metric_space=metric_space
-            ):
-                handle.write(
-                    f"{' '.join(map(str, a))},{' '.join(map(str, b))},"
-                    f"{encode_value(d)},{encode_value(value)},{encode_value(value / d)}\n"
-                )
     return 0
 
 

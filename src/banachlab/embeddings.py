@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .errors import CapExceeded, InputError
@@ -242,12 +242,20 @@ def measure_distortion(
 ) -> DistortionReport:
     """Exact min and max of ||f(a) - f(b)|| / d(a, b) over the pairs
     `distortion_pairs` yields."""
+    return distortion_report(distortion_pairs(spec, metric, n, caps, metric_space, budget))
+
+
+def distortion_report(
+    pairs: Iterable[tuple[KSubset, KSubset, Fraction, Fraction | float]],
+) -> DistortionReport:
+    """Reduce (a, b, d(a, b), ||f(a) - f(b)||) tuples to the min and max
+    ratio, their first attaining pairs and the pair count."""
     lower = upper = None
     argmin = argmax = None
-    pairs = 0
-    for a, b, d, value in distortion_pairs(spec, metric, n, caps, metric_space, budget):
+    count = 0
+    for a, b, d, value in pairs:
         ratio = value / d
-        pairs += 1
+        count += 1
         if lower is None or ratio < lower:
             lower, argmin = ratio, (a, b)
         if upper is None or ratio > upper:
@@ -256,7 +264,7 @@ def measure_distortion(
         raise InputError("need at least two points to measure distortion")
     if lower == 0:
         raise InputError(f"embedding collapses the pair {argmin}")
-    return DistortionReport(lower, upper, upper / lower, argmin, argmax, pairs)
+    return DistortionReport(lower, upper, upper / lower, argmin, argmax, count)
 
 
 # -- finite linfty equivalence constants ----------------------------------

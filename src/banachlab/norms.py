@@ -296,12 +296,16 @@ def gauge_norm(x: SparseVec, gauge) -> float:
     Bottom-up like `_TsirelsonDP`: `table[i][j]` is the norm of x
     restricted to support points i..j, and for a fixed right end j,
     `sums[k][a]` is the best sum of part norms over splits of [a..j] into
-    k chunks.  Every k is filled and weighed."""
+    k chunks.  Every k is filled and weighed.  A coefficient or a part
+    sum beyond the float range is an input error."""
     if x and x.depth != 1:
         raise InputError("the gauge norm is defined on depth-1 vectors")
     if not x:
         return 0.0
-    mag = [abs(float(x[p])) for p in x.support()]
+    try:
+        mag = [abs(float(x[p])) for p in x.support()]
+    except OverflowError:
+        raise InputError("a coefficient exceeds the float range of the gauge norm") from None
     m = len(mag)
     f = [None, None] + [gauge(k) for k in range(2, m + 1)]
     table = [[0.0] * m for _ in range(m)]
@@ -317,6 +321,9 @@ def gauge_norm(x: SparseVec, gauge) -> float:
                 total = sums[k][i] = max(map(add, row[i : j - k + 2], sums[k - 1][i + 1 : j - k + 3]))
                 best = max(best, total / f[k])
             row[j] = sums[1][i] = best
+    # an overflowed sum is inf and carries up to the whole support
+    if isinf(table[0][-1]):
+        raise InputError("a part sum of the gauge norm exceeds the float range")
     return table[0][-1]
 
 
@@ -415,7 +422,9 @@ class NormEngine:
                 outer_entries[(k,)] = value
         if self._outer is None:
             self._outer = NormEngine(space.outer, self.caps)
-        value = self._outer.norm(SparseVec(outer_entries))
+        # part norms are nonzero Fractions by now, so the outer vector
+        # is canonical as built
+        value = self._outer.norm(SparseVec._clean(outer_entries, 1))
         return float(value) if inexact and isinstance(value, Fraction) else value
 
     def _inner_engine(self, space: Sum, k: int) -> "NormEngine":

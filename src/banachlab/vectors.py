@@ -1,10 +1,25 @@
 """Exact sparse vectors indexed by coordinate paths.
 
 A coordinate path is a tuple of 1-based indices; depth 1 for primitive
-spaces, depth 2 for a sum of primitive spaces, and so on.  All
-coefficients are `fractions.Fraction`, stored in lowest terms with a
-positive denominator, so every operation here is exact.  Vectors are
+spaces, depth 2 for a sum of primitive spaces, and so on.  Vectors are
 immutable and hashable; equality is equality of the entry maps.
+
+Every `SparseVec` is in canonical form: its paths are int tuples of one
+depth (the zero vector carries its depth explicitly) and its values are
+nonzero `fractions.Fraction`s, which keep themselves in lowest terms
+with a positive denominator.  Equal vectors therefore have equal entry
+maps and equal hashes, and every operation here is exact.
+
+The public constructor `SparseVec(...)` is the one validating edge: it
+converts paths and values and rejects bad paths, mixed depths and a
+declared depth that the paths contradict.  Results built from vectors
+that already exist (`+`, `-`, scalar `*`, negation, `leading_groups`,
+`restrict`) are canonical by construction, because `Fraction`
+arithmetic returns canonical `Fraction`s and each of these drops the
+zeros it makes; they go through the unchecked `SparseVec._clean`.
+`_clean` may only be given a fresh dict whose values are nonzero
+`Fraction`s on int-tuple paths of exactly the depth it is passed; data
+from anywhere else goes through `SparseVec(...)`.
 """
 
 from __future__ import annotations
@@ -58,6 +73,17 @@ class SparseVec:
         self._depth = depth if depth is not None else 1
         self._hash = None
 
+    @classmethod
+    def _clean(cls, entries: dict[CoordPath, Fraction], depth: int) -> "SparseVec":
+        """Wrap entries that are already canonical, without checking them:
+        a dict no one else holds, of nonzero `Fraction`s on int-tuple
+        paths of length `depth`."""
+        vec = object.__new__(cls)
+        vec._entries = entries
+        vec._depth = depth
+        vec._hash = None
+        return vec
+
     # -- basic protocol ------------------------------------------------
 
     @property
@@ -93,22 +119,36 @@ class SparseVec:
     # -- algebra -------------------------------------------------------
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
-        if other.depth != self.depth and self and other:
-            raise InputError(f"depth mismatch {self.depth} != {other.depth}")
-        out = dict(self._entries)
-        for path, value in other.items():
-            out[path] = out.get(path, Fraction(0)) + value
-        return SparseVec(out, depth=self.depth if self else other.depth)
+        return self._merge(other, other._entries.items())
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
-        return self + (-1) * other
+        return self._merge(other, ((p, -v) for p, v in other._entries.items()))
+
+    def _merge(self, other: "SparseVec", terms) -> "SparseVec":
+        """Add the (path, value) terms of `other`, dropping cancelled entries."""
+        if other._depth != self._depth and self._entries and other._entries:
+            raise InputError(f"depth mismatch {self.depth} != {other.depth}")
+        out = dict(self._entries)
+        for path, value in terms:
+            old = out.get(path)
+            if old is None:
+                out[path] = value
+            else:
+                total = old + value
+                if total:
+                    out[path] = total
+                else:
+                    del out[path]
+        return SparseVec._clean(out, self._depth if self._entries else other._depth)
 
     def __rmul__(self, scalar) -> "SparseVec":
         scalar = Fraction(scalar)
-        return SparseVec({p: scalar * v for p, v in self.items()}, depth=self.depth)
+        if not scalar:
+            return SparseVec._clean({}, self._depth)
+        return SparseVec._clean({p: scalar * v for p, v in self._entries.items()}, self._depth)
 
     def __neg__(self) -> "SparseVec":
-        return (-1) * self
+        return SparseVec._clean({p: -v for p, v in self._entries.items()}, self._depth)
 
     # -- supports and restrictions --------------------------------------
 
@@ -130,7 +170,8 @@ class SparseVec:
         groups: dict[int, dict] = {}
         for path, value in self._entries.items():
             groups.setdefault(path[0], {})[path[1:]] = value
-        return {k: SparseVec(v, depth=self.depth - 1) for k, v in sorted(groups.items())}
+        depth = self._depth - 1
+        return {k: SparseVec._clean(v, depth) for k, v in sorted(groups.items())}
 
 
 def unit(path: int | CoordPath) -> SparseVec:
@@ -143,7 +184,7 @@ def unit(path: int | CoordPath) -> SparseVec:
 def restrict(x: SparseVec, E: Iterable[int]) -> SparseVec:
     """Keep the entries whose leading index lies in E; idempotent."""
     keep = set(E)
-    return SparseVec({p: v for p, v in x.items() if p[0] in keep}, depth=x.depth)
+    return SparseVec._clean({p: v for p, v in x.items() if p[0] in keep}, x.depth)
 
 
 def inner_product(x: SparseVec, f: SparseVec) -> Fraction:

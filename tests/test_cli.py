@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from banachlab.cli import main
+from banachlab.norms import NormEngine
 
 
 def run_cli(argv, capsys):
@@ -163,6 +164,11 @@ class TestExitCodes:
         ["verify", "c0-subseq", "--samples", "-1"],
         ["verify", "l2", "--samples", "-1"],
         ["verify", "cm", "--samples", "-1"],
+        ["norm", "--space", "S(log2)", "--vec", f"1:{10**400}"],
+        ["norm", "--space", "S(log2)", "--vec", f"1:{10**400}/3"],
+        ["norm", "--space", "S(log2)", "--vec", f"1:{10**308},2:{10**308},3:{10**308}"],
+        # a path below a regular file cannot be opened for writing
+        ["distortion", "--embedding", "prop73:p=1,k=2", "--n", "4", "--csv", f"{__file__}/x.csv"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
@@ -259,6 +265,27 @@ class TestDistortionCsv:
         )
         assert code == 0
         assert path.read_bytes() == expected.encode()
+
+    def test_one_pass_gives_the_same_report(self, tmp_path, capsys, monkeypatch):
+        # the rows and the report come from one enumeration, so --csv
+        # evaluates no norm twice
+        calls = []
+        norm = NormEngine.norm
+
+        def counted(self, x):
+            calls.append(x)
+            return norm(self, x)
+
+        monkeypatch.setattr(NormEngine, "norm", counted)
+        argv = ["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "d_e:T", "--n", "5"]
+        _, plain, _ = run_cli(argv, capsys)
+        plain_calls = len(calls)
+        calls.clear()
+        code, out, _ = run_cli(argv + ["--csv", str(tmp_path / "pairs.csv")], capsys)
+        assert code == 0
+        assert out == plain
+        assert len(calls) == plain_calls
+        assert len((tmp_path / "pairs.csv").read_text().splitlines()) == 1 + json.loads(out)["pairs"]
 
 
 class TestDeterminism:
