@@ -183,13 +183,15 @@ def _load_array_embedding(path: str) -> ArrayEmbed:
         if line.startswith("space:"):
             space = parse_space(line[len("space:"):])
             continue
-        if line.startswith("k:"):
-            k = int(line[len("k:"):])
-            continue
-        fields = line.split(None, 2)
-        if len(fields) != 3:
-            raise InputError(f"bad array row {line!r}")
-        array[(int(fields[0]), int(fields[1]))] = parse_vector(fields[2])
+        try:
+            if line.startswith("k:"):
+                k = int(line[len("k:"):])
+                continue
+            i, j, vec = line.split(None, 2)
+            key = (int(i), int(j))
+        except ValueError:
+            raise InputError(f"bad array line {line!r}") from None
+        array[key] = parse_vector(vec)
     if space is None or k is None:
         raise InputError("array file needs `space:` and `k:` headers")
     return ArrayEmbed(array, k, space)
@@ -206,7 +208,13 @@ def _write_rows(pairs, handle):
         yield a, b, d, value
 
 
+def _check_decimal(args) -> None:
+    if args.decimal is not None and args.decimal < 0:
+        raise InputError(f"--decimal must be >= 0, got {args.decimal}")
+
+
 def cmd_distortion(args) -> int:
+    _check_decimal(args)
     spec = _parse_embedding(args.embedding)
     metric, _, generator = args.metric.partition(":")
     metric_space = parse_space(generator) if generator else None
@@ -231,6 +239,7 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_decimal(args)
     caps = get_caps()
     lemma = args.lemma
     if lemma == "block-c0":

@@ -19,10 +19,10 @@ from .errors import CapExceeded, InputError
 from .hamming import (
     HammingSpace,
     KSubset,
-    check_pair_budget,
     hamming_distance,
     johnson_distance,
     make_ksubset,
+    point_pairs,
 )
 from .norms import NormEngine
 from .spaces import LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual
@@ -163,10 +163,7 @@ def embed(spec: EmbeddingSpec, m: KSubset) -> SparseVec:
     if isinstance(spec, ArrayEmbed):
         return array_embed(spec.array, spec.k, m)
     if isinstance(spec, XpqBranch):
-        total = SparseVec()
-        for vec in xpq_branch_vectors(spec.p, spec.q, spec.k, m, spec.width):
-            total = total + vec
-        return total
+        return sum(xpq_branch_vectors(spec.p, spec.q, spec.k, m, spec.width), SparseVec())
     raise InputError(f"unknown embedding spec {spec!r}")
 
 
@@ -201,14 +198,13 @@ def distortion_pairs(
     n: int,
     caps: Optional[Caps] = None,
     metric_space: Optional[SpaceExpr] = None,
-    budget: int = 10**6,
 ) -> Iterator[tuple[KSubset, KSubset, Fraction, Fraction | float]]:
     """Yield (a, b, d(a, b), ||f(a) - f(b)||) for every pair a < b of
     [n]^k, in lexicographic order.  `metric` is hamming, johnson, or d_e
     (with a generator)."""
     caps = caps or get_caps()
     k = spec.k
-    check_pair_budget(n, k, budget)
+    pairs = point_pairs(n, k)
     if metric == "hamming":
         dist = lambda a, b: Fraction(hamming_distance(a, b))
     elif metric == "johnson":
@@ -222,14 +218,12 @@ def distortion_pairs(
         raise InputError(f"unknown metric {metric!r}")
 
     engine = NormEngine(ambient_space(spec), caps)
-    points = [make_ksubset(c) for c in combinations(range(1, n + 1), k)]
-    images = {m: embed(spec, m) for m in points}
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            d = dist(a, b)
-            if d == 0:
-                raise InputError(f"metric vanishes on distinct points {a}, {b}")
-            yield a, b, d, engine.norm(images[a] - images[b])
+    images = {m: embed(spec, m) for m in combinations(range(1, n + 1), k)}
+    for a, b in pairs:
+        d = dist(a, b)
+        if d == 0:
+            raise InputError(f"metric vanishes on distinct points {a}, {b}")
+        yield a, b, d, engine.norm(images[a] - images[b])
 
 
 def measure_distortion(
@@ -238,11 +232,10 @@ def measure_distortion(
     n: int,
     caps: Optional[Caps] = None,
     metric_space: Optional[SpaceExpr] = None,
-    budget: int = 10**6,
 ) -> DistortionReport:
     """Exact min and max of ||f(a) - f(b)|| / d(a, b) over the pairs
     `distortion_pairs` yields."""
-    return distortion_report(distortion_pairs(spec, metric, n, caps, metric_space, budget))
+    return distortion_report(distortion_pairs(spec, metric, n, caps, metric_space))
 
 
 def distortion_report(
@@ -270,13 +263,30 @@ def distortion_report(
 # -- finite linfty equivalence constants ----------------------------------
 
 
+def max_sign_sum(engine: NormEngine, vectors: Sequence[SparseVec]):
+    """Max of ||x_1 ± x_2 ± ... ± x_n|| and the signs (a list starting
+    with 1) of the first pattern that attains it, or None when every sum
+    is 0.  Only the 2^(n-1) patterns that start with + are scanned, in
+    `product` order: ||-x|| = ||x||, so they attain every value."""
+    best = Fraction(0)
+    witness = None
+    for signs in product((ONE, -ONE), repeat=len(vectors) - 1):
+        total = vectors[0]
+        for sign, vec in zip(signs, vectors[1:]):
+            total = total + sign * vec
+        value = engine.norm(total)
+        if value > best:
+            best = value
+            witness = [1] + [int(s) for s in signs]
+    return best, witness
+
+
 def ell_infty_equivalence(
     vectors: Sequence[SparseVec],
     space: SpaceExpr,
     caps: Optional[Caps] = None,
-    max_n: int = 12,
 ):
-    """Certified constants (c_low, c_up) with
+    """Certified constants (c_low, c_up) for 1 to 12 vectors with
 
         c_low * max|a_i|  <=  ||sum a_i x_i||  <=  c_up * max|a_i|.
 
@@ -287,8 +297,8 @@ def ell_infty_equivalence(
     """
     caps = caps or get_caps()
     n = len(vectors)
-    if n == 0 or n > max_n:
-        raise InputError(f"need between 1 and {max_n} vectors, got {n}")
+    if not 1 <= n <= 12:
+        raise InputError(f"need between 1 and 12 vectors, got {n}")
     seen: set = set()
     for vec in vectors:
         paths = set(vec.support())
@@ -297,15 +307,7 @@ def ell_infty_equivalence(
         seen |= paths
     engine = NormEngine(space, caps)
     c_low = min(engine.norm(v) for v in vectors)
-    c_up = None
-    for signs in product((ONE, -ONE), repeat=n - 1):
-        total = vectors[0]
-        for sign, vec in zip(signs, vectors[1:]):
-            total = total + sign * vec
-        value = engine.norm(total)
-        if c_up is None or value > c_up:
-            c_up = value
-    return c_low, c_up
+    return c_low, max_sign_sum(engine, vectors)[0]
 
 
 # -- plegma families ------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .caps import Caps, get_caps
 from .errors import CapExceeded, InputError
@@ -18,6 +18,7 @@ from .spaces import SpaceExpr, space_depth
 from .vectors import SparseVec
 
 KSubset = tuple[int, ...]
+PAIR_BUDGET = 10**6  # most pairs a brute-force enumeration of [n]^k may visit
 
 
 def make_ksubset(values: Iterable[int]) -> KSubset:
@@ -89,26 +90,21 @@ class HammingSpace:
             SparseVec({(j,): Fraction(1) for j in range(1, self.k + 1)})
         )
 
-    def diameter_brute(self, n: int, budget: int = 10**6):
+    def diameter_brute(self, n: int):
         """Max distance over all pairs in [n]^k by enumeration."""
         if n < 2 * self.k:
             raise InputError(f"need n >= 2k = {2 * self.k} to realize the diameter")
-        check_pair_budget(n, self.k, budget)
-        points = list(combinations(range(1, n + 1), self.k))
-        best = Fraction(0)
-        for i, a in enumerate(points):
-            for b in points[i + 1:]:
-                d = self.distance(a, b)
-                if d > best:
-                    best = d
-        return best
+        return max(self.distance(a, b) for a, b in point_pairs(n, self.k))
 
 
-def check_pair_budget(n: int, k: int, budget: int) -> None:
-    """Refuse to enumerate the pairs of [n]^k when C(n, k)^2 exceeds
-    the budget."""
-    count = comb(n, k) if min(n, k) >= 0 else 0
-    if count * count > budget:
+def point_pairs(n: int, k: int) -> Iterator[tuple[KSubset, KSubset]]:
+    """The pairs a < b of [n]^k in lexicographic order; refused when
+    C(n, k)^2 exceeds the pair budget."""
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    count = comb(max(n, 0), k)
+    if count * count > PAIR_BUDGET:
         raise CapExceeded(
-            f"pair budget exceeded: C({n},{k})^2 = {count * count} > {budget}"
+            f"pair budget exceeded: C({n},{k})^2 = {count * count} > {PAIR_BUDGET}"
         )
+    return combinations(combinations(range(1, n + 1), k), 2)

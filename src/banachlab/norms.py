@@ -89,7 +89,7 @@ def is_admissible(parts: Iterable[Iterable[int]]) -> bool:
     return is_successive(parts) and len(parts) <= parts[0][0]
 
 
-def _chunkings(seq: tuple, n: int):
+def chunkings(seq: tuple, n: int):
     """Splits of a sorted tuple into n consecutive nonempty chunks."""
     m = len(seq)
     if n > m:
@@ -102,7 +102,8 @@ def _chunkings(seq: tuple, n: int):
         yield parts
 
 
-def _nonempty_subsets(seq: tuple):
+def nonempty_subsets(seq: tuple):
+    """Nonempty subsets of a tuple by size, each in combinations order."""
     for r in range(1, len(seq) + 1):
         yield from combinations(seq, r)
 
@@ -291,23 +292,36 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
 def gauge_norm(x: SparseVec, gauge) -> float:
     """Interval DP without the admissibility constraint; each family of k
     successive parts is scaled by 1/f(k).  Float-valued since the gauges
-    are irrational.
-
-    Bottom-up like `_TsirelsonDP`: `table[i][j]` is the norm of x
-    restricted to support points i..j, and for a fixed right end j,
-    `sums[k][a]` is the best sum of part norms over splits of [a..j] into
-    k chunks.  Every k is filled and weighed.  A coefficient or a part
-    sum beyond the float range is an input error."""
+    are irrational.  A coefficient beyond the float range is an input
+    error.  Where a part sum overflows, the DP reruns on the coefficients
+    divided by their maximum and multiplies back, as `lp_norm` does; a
+    norm beyond the float range is an input error."""
     if x and x.depth != 1:
         raise InputError("the gauge norm is defined on depth-1 vectors")
     if not x:
         return 0.0
+    coef = [abs(x[p]) for p in x.support()]
     try:
-        mag = [abs(float(x[p])) for p in x.support()]
+        mag = [float(c) for c in coef]
     except OverflowError:
         raise InputError("a coefficient exceeds the float range of the gauge norm") from None
+    f = [None, None] + [gauge(k) for k in range(2, len(mag) + 1)]
+    value = _gauge_dp(mag, f)
+    # an overflowed sum is inf and carries up to the whole support
+    if isinf(value):
+        top = max(coef)
+        value = _gauge_dp([float(c / top) for c in coef], f) * float(top)
+        if isinf(value):
+            raise InputError("the gauge norm exceeds the float range")
+    return value
+
+
+def _gauge_dp(mag: list, f: list) -> float:
+    """Bottom-up like `_TsirelsonDP`: `table[i][j]` is the norm of the
+    coefficients i..j, and for a fixed right end j, `sums[k][a]` is the
+    best sum of part norms over splits of [a..j] into k chunks.  Every k
+    is filled and weighed by 1/f[k]."""
     m = len(mag)
-    f = [None, None] + [gauge(k) for k in range(2, m + 1)]
     table = [[0.0] * m for _ in range(m)]
     for j in range(m):
         sums = [[0.0] * (j + 2) for _ in range(j + 2)]
@@ -321,9 +335,6 @@ def gauge_norm(x: SparseVec, gauge) -> float:
                 total = sums[k][i] = max(map(add, row[i : j - k + 2], sums[k - 1][i + 1 : j - k + 3]))
                 best = max(best, total / f[k])
             row[j] = sums[1][i] = best
-    # an overflowed sum is inf and carries up to the whole support
-    if isinf(table[0][-1]):
-        raise InputError("a part sum of the gauge norm exceeds the float range")
     return table[0][-1]
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 from .caps import Caps, get_caps
 from .dual import LPResult
 from .errors import InputError
-from .norms import Functional, _chunkings, _nonempty_subsets
+from .norms import Functional, chunkings, nonempty_subsets
 from .simplex import SimplexError, StandardFormSimplex
 from .vectors import SparseVec
 
@@ -41,10 +41,10 @@ def brute_force_tsirelson(x: SparseVec, caps: Optional[Caps] = None) -> Fraction
     def recurse(vec: dict) -> Fraction:
         supp = tuple(sorted(vec))
         best = max(abs(v) for v in vec.values())
-        for chosen in _nonempty_subsets(supp):
+        for chosen in nonempty_subsets(supp):
             nmax = min(chosen[0], len(chosen))
             for n in range(2, nmax + 1):
-                for parts in _chunkings(chosen, n):
+                for parts in chunkings(chosen, n):
                     total = Fraction(0)
                     for part in parts:
                         total += recurse({p: vec[p] for p in part})
@@ -76,7 +76,7 @@ def _exact_functionals(support: tuple) -> list[tuple[tuple, int]]:
         found: dict[tuple, int] = {}
         nmax = min(support[0], len(support))
         for n in range(2, nmax + 1):
-            for parts in _chunkings(support, n):
+            for parts in chunkings(support, n):
                 pools = [_exact_functionals(part) for part in parts]
                 for combo in product(*pools):
                     items = []
@@ -107,7 +107,7 @@ def norming_set(S: Iterable[int], caps: Optional[Caps] = None) -> list[Functiona
         raise InputError("norming-set coordinates must be >= 1")
     caps.check("tsirelson", len(S))
     out = []
-    for A in _nonempty_subsets(S):
+    for A in nonempty_subsets(S):
         for items, depth in _exact_functionals(A):
             coeffs = SparseVec({(p,): c for p, c in items})
             out.append(Functional(coeffs, depth))
@@ -130,14 +130,14 @@ def norming_set_max(y: SparseVec, caps: Optional[Caps] = None) -> Fraction:
     coef = {p[0]: v for p, v in y.items()}
     if all(v == 1 for v in coef.values()):
         best = Fraction(0)
-        for A in _nonempty_subsets(supp):
+        for A in nonempty_subsets(supp):
             _exact_functionals(A)
             cand = _maxsum_cache[A]
             if cand is not None and cand > best:
                 best = cand
         return best
     best = None
-    for A in _nonempty_subsets(supp):
+    for A in nonempty_subsets(supp):
         for items, _depth in _exact_functionals(A):
             value = sum((c * coef[p] for p, c in items), Fraction(0))
             if best is None or value > best:

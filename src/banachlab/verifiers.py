@@ -15,22 +15,20 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Sequence, Union
+from functools import cache
+from typing import Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .dual import dual_norm
-from .embeddings import ell_infty_equivalence
+from .embeddings import ell_infty_equivalence, max_sign_sum
 from .errors import InputError
-from .norms import NormEngine, modified_norm, tsirelson_norm, _chunkings, _nonempty_subsets
+from .norms import NormEngine, chunkings, modified_norm, nonempty_subsets, tsirelson_norm
 from .report import VerifierReport
 from .spaces import Repeat, SpaceExpr, Sum, TsirelsonDual, space_depth
-from .vectors import SparseVec
+from .vectors import SparseVec, format_vector
 
 ONE = Fraction(1)
 DEFAULT_SEED = 1729
-
-SIGNS = (ONE, -ONE)
 
 
 def tt_space() -> SpaceExpr:
@@ -43,21 +41,64 @@ def _require_positive(name: str, value: int) -> None:
         raise InputError(f"{name} must be >= 1, got {value}")
 
 
-def _dual01(caps: Caps):
-    """Memoized dual norm of the 0/1 vector on a tuple of positions."""
-    memo: dict[tuple, Fraction] = {}
-
-    def dual01(subset: tuple) -> Fraction:
-        if subset not in memo:
-            memo[subset] = dual_norm(
-                SparseVec({(p,): ONE for p in subset}), caps
-            ).value
-        return memo[subset]
-
-    return dual01
-
-
 # -- block inequalities in the dual norm --------------------------------
+
+
+def _max_family_ratio(families: Iterator[tuple], caps: Caps):
+    """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
+    (union, parts) pairs of 0/1 families; returns the max, the parts of
+    the first family attaining it (None if none exceeds 0) and the
+    family count.  Each 0/1 dual norm is solved once per call."""
+
+    @cache
+    def dual01(subset: tuple) -> Fraction:
+        return dual_norm(SparseVec({(p,): ONE for p in subset}), caps).value
+
+    best = Fraction(0)
+    witness = None
+    count = 0
+    for union, parts in families:
+        count += 1
+        ratio = dual01(union) / max(dual01(part) for part in parts)
+        if ratio > best:
+            best = ratio
+            witness = parts
+    return best, witness, count
+
+
+def _block_families(max_support: int, variant: str) -> Iterator[tuple]:
+    """Every subset of [1, max_support] split into consecutive blocks,
+    with the part count n at most min supp(x_1) (strict) or, for n > 1,
+    at most min supp(x_2) (relaxed)."""
+    lead = 0 if variant == "strict" else 1
+    for subset in nonempty_subsets(tuple(range(1, max_support + 1))):
+        for n in range(1, len(subset) + 1):
+            for parts in chunkings(subset, n):
+                if n <= parts[min(lead, n - 1)][0]:
+                    yield subset, parts
+
+
+def _disjoint_families(positions: Sequence[int], n: int) -> Iterator[tuple]:
+    """Every family of n disjoint nonempty parts of `positions`, some
+    positions unused, in the lexicographic order of its restricted-growth
+    labels (0 = unused, part j first appears after part j-1)."""
+    m = len(positions)
+
+    def labelings(i: int, seen: int) -> Iterator[tuple]:
+        """Labels of positions[i:] after labels 1..seen were used."""
+        if m - i < n - seen:
+            return
+        if i == m:
+            yield ()
+            return
+        for label in range(min(seen + 1, n) + 1):
+            for rest in labelings(i + 1, max(seen, label)):
+                yield (label,) + rest
+
+    for labels in labelings(0, 0):
+        used = [(p, label) for p, label in zip(positions, labels) if label]
+        parts = [tuple(p for p, label in used if label == j) for j in range(1, n + 1)]
+        yield tuple(p for p, _ in used), parts
 
 
 def verify_block_c0(
@@ -75,32 +116,14 @@ def verify_block_c0(
         raise InputError(f"unknown variant {variant!r}")
     _require_positive("max_support", max_support)
     caps.check("dual", max_support)
-    dual01 = _dual01(caps)
     bound = Fraction(2) if variant == "strict" else Fraction(3)
-    best = Fraction(0)
-    witness = None
-    families = 0
-    universe = tuple(range(1, max_support + 1))
-    for subset in _nonempty_subsets(universe):
-        whole = dual01(subset)
-        for n in range(1, len(subset) + 1):
-            for parts in _chunkings(subset, n):
-                if variant == "strict":
-                    if n > parts[0][0]:
-                        continue
-                elif n > 1 and n > parts[1][0]:
-                    continue
-                families += 1
-                ratio = whole / max(dual01(part) for part in parts)
-                if ratio > best:
-                    best = ratio
-                    witness = {"blocks": [list(part) for part in parts]}
+    best, parts, families = _max_family_ratio(_block_families(max_support, variant), caps)
     return VerifierReport(
         lemma=f"block-c0-{variant}",
         params={"max_support": max_support, "variant": variant},
         samples=families,
         max_ratio=best,
-        witness=witness,
+        witness={"blocks": [list(part) for part in parts]},
         passed=bool(best <= bound),
         bound_claimed=str(bound),
     )
@@ -120,39 +143,13 @@ def estimate_dm(
     positions = list(range(n, max_support + 1))
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
-    dual01 = _dual01(caps)
-    best = Fraction(0)
-    witness = None
-    families = 0
-    # restricted-growth assignments: 0 = unused, parts appear in order
-    for assignment in product(range(n + 1), repeat=len(positions)):
-        seen = 0
-        ok = True
-        for label in assignment:
-            if label == 0:
-                continue
-            if label > seen + 1:
-                ok = False
-                break
-            seen = max(seen, label)
-        if not ok or seen != n:
-            continue
-        parts = [
-            tuple(p for p, label in zip(positions, assignment) if label == j)
-            for j in range(1, n + 1)
-        ]
-        families += 1
-        union = tuple(sorted(p for part in parts for p in part))
-        ratio = dual01(union) / max(dual01(part) for part in parts)
-        if ratio > best:
-            best = ratio
-            witness = {"parts": [list(part) for part in parts]}
+    best, parts, families = _max_family_ratio(_disjoint_families(positions, n), caps)
     return VerifierReport(
         lemma="dm",
         params={"n": n, "max_support": max_support},
         samples=families,
         max_ratio=best,
-        witness=witness,
+        witness={"parts": [list(part) for part in parts]},
         passed="reported",
         bound_claimed="D_M (no numeric value known)",
     )
@@ -176,7 +173,7 @@ def estimate_cm(
     rng = random.Random(seed)
     vectors = [
         SparseVec({(p,): ONE for p in subset})
-        for subset in _nonempty_subsets(tuple(range(1, max_support + 1)))
+        for subset in nonempty_subsets(tuple(range(1, max_support + 1)))
     ]
     for _ in range(samples):
         vectors.append(_random_vector(rng, max_support))
@@ -187,12 +184,12 @@ def estimate_cm(
         tn = tsirelson_norm(vec)
         mn = modified_norm(vec, caps)
         if tn > mn:
-            violated = {"vector": _vec_witness(vec), "T": str(tn), "M": str(mn)}
+            violated = {"vector": format_vector(vec), "T": str(tn), "M": str(mn)}
             break
         ratio = mn / tn
         if ratio > best:
             best = ratio
-            witness = {"vector": _vec_witness(vec)}
+            witness = {"vector": format_vector(vec)}
     return VerifierReport(
         lemma="cm",
         params={"max_support": max_support},
@@ -214,12 +211,6 @@ def _random_vector(rng: random.Random, max_support: int, max_size: int = 6) -> S
         den = rng.randint(1, 4)
         entries[(p,)] = Fraction(num, den)
     return SparseVec(entries)
-
-
-def _vec_witness(vec: SparseVec):
-    from .vectors import format_vector
-
-    return format_vector(vec)
 
 
 # -- rectangle decomposition (grid) verifiers ------------------------------
@@ -257,17 +248,10 @@ def verify_lemma_l2(
         for j in range(1, k + 1):
             region = _l2_region(k, cuts, j)
             zs.append(_random_normalized(rng, region, engine))
-        for signs in product(SIGNS, repeat=k - 1):
-            total = zs[0]
-            for sign, z in zip(signs, zs[1:]):
-                total = total + sign * z
-            value = engine.norm(total)
-            if value > best:
-                best = value
-                witness = {
-                    "z": [_vec_witness(z) for z in zs],
-                    "signs": [1] + [int(s) for s in signs],
-                }
+        value, signs = max_sign_sum(engine, zs)
+        if value > best:
+            best = value
+            witness = {"z": [format_vector(z) for z in zs], "signs": signs}
     return VerifierReport(
         lemma="l2",
         params={"k": k, "cuts": cuts, "ceiling": ceiling},
@@ -378,16 +362,7 @@ def hat_select(
         for i in range(k):
             if abs(profiles[j - 1][i] - base[i]) > Fraction(1, k):
                 passed = False
-    best = Fraction(0)
-    sign_witness = None
-    for signs in product(SIGNS, repeat=k):
-        total = SparseVec(depth=2)
-        for sign, j in zip(signs, selected):
-            total = total + sign * vecs[j - 1]
-        value = engine.norm(total)
-        if value > best:
-            best = value
-            sign_witness = [int(s) for s in signs]
+    best, sign_witness = max_sign_sum(engine, [vecs[j - 1] for j in selected])
     if best > 2:
         passed = False
     report = VerifierReport(

@@ -166,9 +166,12 @@ class TestExitCodes:
         ["verify", "cm", "--samples", "-1"],
         ["norm", "--space", "S(log2)", "--vec", f"1:{10**400}"],
         ["norm", "--space", "S(log2)", "--vec", f"1:{10**400}/3"],
-        ["norm", "--space", "S(log2)", "--vec", f"1:{10**308},2:{10**308},3:{10**308}"],
+        # 1.5 * 1.7e308, beyond the float range
+        ["norm", "--space", "S(log2)", "--vec", f"1:{17 * 10**307},2:{17 * 10**307},3:{17 * 10**307}"],
         # a path below a regular file cannot be opened for writing
         ["distortion", "--embedding", "prop73:p=1,k=2", "--n", "4", "--csv", f"{__file__}/x.csv"],
+        ["distortion", "--embedding", "prop73:p=1,k=2", "--n", "3", "--decimal", "-1"],
+        ["verify", "hat", "--k", "1", "--samples", "2", "--decimal", "-1"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
@@ -191,6 +194,26 @@ class TestExitCodes:
         assert code == 0
         assert err == ""
         assert out == f"3.333333333e+399 (= {10**400}/3)\n"
+
+    def test_gauge_part_sum_overflow_is_rescaled(self, capsys):
+        # the part sums overflow the float DP, the norm 3e308/f(3) does not
+        vec = f"1:{10**308},2:{10**308},3:{10**308}"
+        code, out, err = run_cli(["norm", "--space", "S(log2)", "--vec", vec], capsys)
+        assert code == 0
+        assert err == ""
+        assert out == "1.5e+308\n"
+
+    @pytest.mark.parametrize("line", ["k: x", "a b 1.1:1"])
+    def test_bad_array_file_line_is_one_error_line(self, line, tmp_path, capsys):
+        lines = ["space: sum(lpn(1,2),repeat(T*))", "k: 2", line]
+        path = tmp_path / "array.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["distortion", "--embedding", f"array:{path}", "--n", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bad array line {line!r}\n"
 
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as info:

@@ -1,4 +1,5 @@
-"""The exhaustive reference routes stay out of the production modules."""
+"""The exhaustive reference routes stay out of the production modules,
+and no module reaches into another through a private name."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,16 @@ def test_only_the_package_and_the_cli_import_oracles():
         if any(name == "oracles" or name.endswith(".oracles") for name in names):
             importers.add(path.name)
     assert importers == {"__init__.py", "cli.py"}
+
+
+def test_no_module_imports_a_private_name():
+    private = []
+    for path in Path(banachlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

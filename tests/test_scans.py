@@ -1,0 +1,191 @@
+"""The shared scans of the verifiers and embeddings: pinned reports,
+the restricted-growth family generator and the sign-sum maximum, each
+against the straightforward enumeration it replaced."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from banachlab.embeddings import max_sign_sum
+from banachlab.norms import NormEngine
+from banachlab.spaces import parse_space
+from banachlab.vectors import SparseVec
+from banachlab.verifiers import (
+    _disjoint_families,
+    c0_sampled_report,
+    estimate_dm,
+    hat_sampled_report,
+    spreading_report,
+    tt_space,
+    verify_block_c0,
+    verify_lemma_l2,
+)
+
+F = Fraction
+
+# JSON reports of the verifiers before the scans were shared, generated
+# by running the version with one loop per verifier (commit 683ade4)
+REPORT_PINS = [
+    ('block_c0', (1, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"1/1","params":{"max_support":1,"variant":"strict"},"pass":true,"samples":1,"seed":null,"witness":{"blocks":[[1]]}}'),
+    ('block_c0', (1, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"1/1","params":{"max_support":1,"variant":"relaxed"},"pass":true,"samples":1,"seed":null,"witness":{"blocks":[[1]]}}'),
+    ('block_c0', (2, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"1/1","params":{"max_support":2,"variant":"strict"},"pass":true,"samples":3,"seed":null,"witness":{"blocks":[[1]]}}'),
+    ('block_c0', (2, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"2/1","params":{"max_support":2,"variant":"relaxed"},"pass":true,"samples":4,"seed":null,"witness":{"blocks":[[1],[2]]}}'),
+    ('block_c0', (3, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":3,"variant":"strict"},"pass":true,"samples":8,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (3, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"2/1","params":{"max_support":3,"variant":"relaxed"},"pass":true,"samples":12,"seed":null,"witness":{"blocks":[[1],[2]]}}'),
+    ('block_c0', (4, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":4,"variant":"strict"},"pass":true,"samples":20,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (4, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":4,"variant":"relaxed"},"pass":true,"samples":35,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('block_c0', (5, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":5,"variant":"strict"},"pass":true,"samples":49,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (5, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":5,"variant":"relaxed"},"pass":true,"samples":99,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('block_c0', (6, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":6,"variant":"strict"},"pass":true,"samples":119,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (6, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":6,"variant":"relaxed"},"pass":true,"samples":278,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('block_c0', (7, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":7,"variant":"strict"},"pass":true,"samples":288,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (7, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":7,"variant":"relaxed"},"pass":true,"samples":776,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('block_c0', (8, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":8,"variant":"strict"},"pass":true,"samples":696,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (8, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":8,"variant":"relaxed"},"pass":true,"samples":2159,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('dm', (1, 3),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"1/1","params":{"max_support":3,"n":1},"pass":"reported","samples":7,"seed":null,"witness":{"parts":[[3]]}}'),
+    ('dm', (1, 8),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"1/1","params":{"max_support":8,"n":1},"pass":"reported","samples":255,"seed":null,"witness":{"parts":[[8]]}}'),
+    ('dm', (2, 4),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":4,"n":2},"pass":"reported","samples":6,"seed":null,"witness":{"parts":[[3],[4]]}}'),
+    ('dm', (2, 8),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":8,"n":2},"pass":"reported","samples":966,"seed":null,"witness":{"parts":[[7],[8]]}}'),
+    ('dm', (3, 5),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":5,"n":3},"pass":"reported","samples":1,"seed":null,"witness":{"parts":[[3],[4],[5]]}}'),
+    ('dm', (3, 8),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":8,"n":3},"pass":"reported","samples":350,"seed":null,"witness":{"parts":[[6],[7],[8]]}}'),
+    ('l2', (1, [1, 4], 8, 3),
+     '{"bound_claimed":"3*D_M (no numeric value known)","lemma":"l2","max_ratio":"1/1","params":{"ceiling":12,"cuts":[1,4],"k":1},"pass":"reported","samples":8,"seed":3,"witness":{"signs":[1],"z":["4.2:1"]}}'),
+    ('l2', (2, [2, 4, 8], 10, 4),
+     '{"bound_claimed":"3*D_M (no numeric value known)","lemma":"l2","max_ratio":"2/1","params":{"ceiling":12,"cuts":[2,4,8],"k":2},"pass":"reported","samples":10,"seed":4,"witness":{"signs":[1,1],"z":["4.1:1/2,4.3:1/2","6.4:1"]}}'),
+    ('l2', (3, [3, 4, 6, 9], 4, 5),
+     '{"bound_claimed":"3*D_M (no numeric value known)","lemma":"l2","max_ratio":"3/1","params":{"ceiling":12,"cuts":[3,4,6,9],"k":3},"pass":"reported","samples":4,"seed":5,"witness":{"signs":[1,1,1],"z":["4.4:1","5.1:1","4.7:1"]}}'),
+    ('hat', (1, 10, 1729),
+     '{"bound_claimed":"2","lemma":"hat","max_ratio":"1/1","params":{"M":1,"k":1},"pass":true,"samples":10,"seed":1729,"witness":{"cell":[1],"indices":[1],"instance":1,"signs":[1]}}'),
+    ('c0', (1, 10, 11),
+     '{"bound_claimed":"3*D_M + 2 (no numeric value known)","lemma":"c0-subseq","max_ratio":"1/1","params":{"M":1,"k":1},"pass":"reported","samples":10,"seed":11,"witness":{"c_low":"1","c_up":"1","cell":[1],"indices":[1],"instance":0}}'),
+    ('hat', (2, 10, 1729),
+     '{"bound_claimed":"2","lemma":"hat","max_ratio":"62/35","params":{"M":8,"k":2},"pass":true,"samples":10,"seed":1729,"witness":{"cell":[2,1],"indices":[2,3],"instance":7,"signs":[1,1]}}'),
+    ('c0', (2, 10, 11),
+     '{"bound_claimed":"3*D_M + 2 (no numeric value known)","lemma":"c0-subseq","max_ratio":"2/1","params":{"M":8,"k":2},"pass":"reported","samples":10,"seed":11,"witness":{"c_low":"1","c_up":"2","cell":[2,1],"indices":[2,3],"instance":0}}'),
+    ('hat', (3, 4, 1729),
+     '{"bound_claimed":"2","lemma":"hat","max_ratio":"2/1","params":{"M":81,"k":3},"pass":true,"samples":4,"seed":1729,"witness":{"cell":[1,3,1],"indices":[3,4,6],"instance":1,"signs":[1,1,1]}}'),
+    ('c0', (3, 4, 11),
+     '{"bound_claimed":"3*D_M + 2 (no numeric value known)","lemma":"c0-subseq","max_ratio":"388/155","params":{"M":81,"k":3},"pass":"reported","samples":4,"seed":11,"witness":{"c_low":"1","c_up":"388/155","cell":[1,1,1],"indices":[1,2,3],"instance":2}}'),
+    ('spreading', ('T', 'unit', 3, 4),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":"3/2","params":{"blocks":"unit","k":3,"shift":4,"space":"T"},"pass":"reported","samples":4,"seed":null,"witness":{"c_low":"1","c_up":"3/2"}}'),
+    ('spreading', ('T*', 'doubleton', 2, 3),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":"1/1","params":{"blocks":"doubleton","k":2,"shift":3,"space":"T*"},"pass":"reported","samples":2,"seed":null,"witness":{"c_low":"1","c_up":"1"}}'),
+    ('spreading', ('sum(T*,indexed(sum(lpn(1,#),repeat(T*))))', 'unit', 2, 4),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":"2/1","params":{"blocks":"unit","k":2,"shift":4,"space":"sum(T*,indexed(sum(lpn(1,#),repeat(T*))))"},"pass":"reported","samples":2,"seed":null,"witness":{"c_low":"1","c_up":"2"}}'),
+    ('spreading', ('sum(lp(2),repeat(T))', 'doubleton', 3, 2),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":1.7320508075688774,"params":{"blocks":"doubleton","k":3,"shift":2,"space":"sum(lp(2),repeat(T))"},"pass":"reported","samples":4,"seed":null,"witness":{"c_low":"0.9999999999999999","c_up":"1.7320508075688772"}}'),
+    ('spreading', ('sum(c0,repeat(M))', 'unit', 4, 2),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":"1/1","params":{"blocks":"unit","k":4,"shift":2,"space":"sum(c0,repeat(M))"},"pass":"reported","samples":8,"seed":null,"witness":{"c_low":"1","c_up":"1"}}'),
+    ('spreading', ('S(log2)', 'unit', 3, 1),
+     '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":1.5,"params":{"blocks":"unit","k":3,"shift":1,"space":"S(log2)"},"pass":"reported","samples":4,"seed":null,"witness":{"c_low":"1.0","c_up":"1.5"}}'),
+]
+
+
+def _report(kind, args):
+    if kind == "block_c0":
+        return verify_block_c0(*args)
+    if kind == "dm":
+        return estimate_dm(*args)
+    if kind == "l2":
+        k, cuts, samples, seed = args
+        return verify_lemma_l2(k, cuts, samples=samples, seed=seed)
+    if kind == "hat":
+        return hat_sampled_report(*args)
+    if kind == "c0":
+        return c0_sampled_report(*args)
+    space, blocks, k, shift = args
+    return spreading_report(parse_space(space), blocks, k, shift, space_text=space)
+
+
+@pytest.mark.parametrize(
+    "kind, args, expected", REPORT_PINS, ids=[f"{p[0]}-{p[1]}" for p in REPORT_PINS]
+)
+def test_pinned_report(kind, args, expected):
+    assert _report(kind, args).to_json() == expected
+
+
+def _product_and_reject(positions, n):
+    """The former dm loop: every label tuple in product order, keeping
+    the restricted-growth ones that use all n labels."""
+    for assignment in product(range(n + 1), repeat=len(positions)):
+        seen = 0
+        ok = True
+        for label in assignment:
+            if label == 0:
+                continue
+            if label > seen + 1:
+                ok = False
+                break
+            seen = max(seen, label)
+        if not ok or seen != n:
+            continue
+        parts = [
+            tuple(p for p, label in zip(positions, assignment) if label == j)
+            for j in range(1, n + 1)
+        ]
+        yield tuple(sorted(p for part in parts for p in part)), parts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_disjoint_families_match_product_and_reject(n):
+    for m in range(0, 9):
+        positions = list(range(n, n + m))
+        assert list(_disjoint_families(positions, n)) == list(_product_and_reject(positions, n))
+
+
+def _all_patterns(engine, vectors):
+    """Every one of the 2^n sign patterns, first strict maximum kept."""
+    best, witness = F(0), None
+    for signs in product((1, -1), repeat=len(vectors)):
+        total = SparseVec(depth=vectors[0].depth)
+        for sign, vec in zip(signs, vectors):
+            total = total + F(sign) * vec
+        value = engine.norm(total)
+        if value > best:
+            best, witness = value, list(signs)
+    return best, witness
+
+
+@pytest.mark.parametrize("space", ["T", "T*", "l1", "c0", "S(log2)"])
+def test_max_sign_sum_matches_all_patterns(space):
+    # overlapping supports, so the sign patterns give different norms
+    rng = random.Random(7)
+    engine = NormEngine(parse_space(space))
+    for _ in range(40):
+        vectors = [
+            SparseVec({
+                (p,): F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                for p in rng.sample(range(1, 9), rng.randint(1, 3))
+            })
+            for _ in range(rng.randint(1, 5))
+        ]
+        assert max_sign_sum(engine, vectors) == _all_patterns(engine, vectors)
+
+
+def test_max_sign_sum_all_zero_has_no_signs():
+    engine = NormEngine(tt_space())
+    assert max_sign_sum(engine, [SparseVec(depth=2)] * 3) == (0, None)
