@@ -15,13 +15,22 @@ functional with f(y) > 1 to enter as a fresh column.  A functional of
 depth k has coefficients +-2^-i with i <= k, so it enters the integer
 simplex as the column 2^k f with cost 2^k.  Both the value and the
 witness come out exactly rational.
+
+Seeds.  Any functional of the norming set K supported in supp x is a
+valid column, and extra valid columns never move the optimum: the loop
+still stops only when the DP certifies the dual vector.  `seeds` enter
+as columns, each with its negation, right after the starting basis, so
+a caller that knows good columns (a basis found for a smaller support:
+K is closed under restriction) saves rounds.  Seeds change the pivots,
+hence possibly the witness and the certificate, never the value; with
+no seeds the run is the cold one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .caps import Caps, get_caps
 from .errors import InputError
@@ -39,7 +48,12 @@ class LPResult:
     certificate: tuple[Functional, ...]  # active constraints (LP basis)
 
 
-def dual_norm(x: SparseVec, caps: Optional[Caps] = None) -> LPResult:
+def dual_norm(
+    x: SparseVec, caps: Optional[Caps] = None, seeds: Iterable[tuple[dict, int]] = ()
+) -> LPResult:
+    """The dual norm of x with an optimal witness and the basis
+    functionals.  Each seed is a norming functional (coeffs by position,
+    depth) supported in supp x."""
     caps = caps or get_caps()
     if x and x.depth != 1:
         raise InputError("the dual norm is defined on depth-1 vectors")
@@ -67,6 +81,9 @@ def dual_norm(x: SparseVec, caps: Optional[Caps] = None) -> LPResult:
         basis.append(add({p: sign}, 0))
         add({p: -sign}, 0)
     sx.set_basis(basis)
+    for coeffs, depth in seeds:
+        add(coeffs, depth)
+        add({p: -c for p, c in coeffs.items()}, depth)
 
     for _ in range(100000):
         value = sx.solve()

@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .dual import dual_norm
@@ -44,16 +44,56 @@ def _require_positive(name: str, value: int) -> None:
 # -- block inequalities in the dual norm --------------------------------
 
 
+def _dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
+    """||1_S|| in the dual norm for sorted position tuples S, each LP
+    solved once.
+
+    The LP of S is seeded with the basis functionals of its
+    one-point-smaller subsets S - {p}, solved first through the same
+    memo.  K is closed under restriction, so these are valid columns for
+    S; they leave the value as it is and save most of the rounds.  The
+    memo keeps each value with the pool indices of its basis columns,
+    not the LP result.  A column is pooled once under the sign that
+    makes its first coefficient positive (the LP adds both signs), and
+    the depth-0 columns +-e_p are left out: every LP starts from them."""
+    pool: list[tuple[dict, int]] = []  # (coeffs by position, depth)
+    index: dict[tuple, int] = {}  # (depth, scaled coefficients) -> pool index
+
+    @cache
+    def solve(subset: tuple) -> tuple[Fraction, tuple[int, ...]]:
+        pooled: set[int] = set()
+        if len(subset) > 1:
+            for i in range(len(subset)):
+                pooled.update(solve(subset[:i] + subset[i + 1:])[1])
+        seeds = [pool[j] for j in sorted(pooled)]
+        result = dual_norm(SparseVec({(p,): ONE for p in subset}), caps, seeds)
+        basis = []
+        for f in result.certificate:
+            depth = f.depth
+            if not depth:
+                continue
+            items = sorted(f.coefficients.items())
+            scale = -1 << depth if items[0][1] < 0 else 1 << depth
+            key = (depth,) + tuple(
+                (p, c.numerator * scale // c.denominator) for (p,), c in items
+            )
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(pool)
+                pool.append(({p: c for (p,), c in items}, depth))
+            basis.append(j)
+        return result.value, tuple(basis)
+
+    return lambda subset: solve(subset)[0]
+
+
 def _max_family_ratio(families: Iterator[tuple], caps: Caps):
     """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
     (union, parts) pairs of 0/1 families; returns the max, the parts of
     the first family attaining it (None if none exceeds 0) and the
-    family count.  Each 0/1 dual norm is solved once per call."""
-
-    @cache
-    def dual01(subset: tuple) -> Fraction:
-        return dual_norm(SparseVec({(p,): ONE for p in subset}), caps).value
-
+    family count.  Each 0/1 dual norm is solved once per call, through
+    `_dual01_pool`."""
+    dual01 = _dual01_pool(caps)
     best = Fraction(0)
     witness = None
     count = 0
@@ -139,8 +179,8 @@ def estimate_dm(
     caps = caps or get_caps()
     if n < 1:
         raise InputError("n must be >= 1")
-    caps.check("dual", max_support)
-    positions = list(range(n, max_support + 1))
+    positions = range(n, max_support + 1)
+    caps.check("dual", len(positions))  # every LP and the enumeration span these
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
     best, parts, families = _max_family_ratio(_disjoint_families(positions, n), caps)
@@ -232,6 +272,9 @@ def verify_lemma_l2(
     caps = caps or get_caps()
     _require_positive("k", k)
     _require_positive("samples", samples)
+    # the z_j are normalized with disjoint supports in a 1-unconditional
+    # norm, so every signed sum has norm >= 1
+    _require_positive("ceiling", ceiling)
     cuts = [int(c) for c in cuts]
     if len(cuts) != k + 1 or cuts[0] != k or any(
         a >= b for a, b in zip(cuts, cuts[1:])

@@ -41,6 +41,23 @@ class TestCommands:
         assert code == 0
         assert out == "2 (= 2/1)\nwitness: 1:1,2:1\n"
 
+    # stdout of the cold LP at supports 6, 8 and 10, generated at commit
+    # 41b7114, before the LP took seeds
+    DUAL_WITNESS_PINS = [
+        ("1:-4,5:1/3,6:-4/7,7:4,9:7/5,10:7/3",
+         "10.33333333 (= 31/3)\nwitness: 1:-1,7:1,10:1\n"),
+        ("4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1",
+         "2.909090909 (= 32/11)\nwitness: 4:6/11,5:4/11,6:2/11,7:4/11,8:6/11,9:5/11,10:3/11,11:2/11\n"),
+        ("1:1/9,2:-3,4:6,5:-1/2,8:-7/5,11:-8/3,14:-2,16:-1/2,18:-1,19:3/4",
+         "11.77777778 (= 106/9)\nwitness: 1:1,2:-1,4:1,11:-1\n"),
+    ]
+
+    @pytest.mark.parametrize("vec, expected", DUAL_WITNESS_PINS, ids=["6", "8", "10"])
+    def test_dual_norm_witness_pinned(self, vec, expected, capsys):
+        code, out, _ = run_cli(["dual-norm", "--space", "T", "--vec", vec, "--witness"], capsys)
+        assert code == 0
+        assert out == expected
+
     def test_metric_d_e(self, capsys):
         code, out, _ = run_cli(
             ["metric", "--space", "l1", "--k", "3", "--a", "1,3,5", "--b", "2,3,7",
@@ -172,6 +189,9 @@ class TestExitCodes:
         ["distortion", "--embedding", "prop73:p=1,k=2", "--n", "4", "--csv", f"{__file__}/x.csv"],
         ["distortion", "--embedding", "prop73:p=1,k=2", "--n", "3", "--decimal", "-1"],
         ["verify", "hat", "--k", "1", "--samples", "2", "--decimal", "-1"],
+        # every signed sum of the normalized z_j has norm >= 1
+        ["verify", "l2", "--ceiling", "0"],
+        ["verify", "l2", "--ceiling", "-3"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))

@@ -7,11 +7,12 @@ from itertools import combinations
 
 import pytest
 
+from banachlab.caps import Caps
 from banachlab.dual import dual_norm, verify_duality
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import tsirelson_norm
 from banachlab.oracles import decomposition_weight, dual_norm_reference
-from banachlab.vectors import SparseVec, inner_product, parse_vector, restrict, unit
+from banachlab.vectors import SparseVec, format_vector, inner_product, parse_vector, restrict, unit
 
 F = Fraction
 
@@ -185,3 +186,162 @@ class TestIndependentRoutes:
             x = random_vec(rng, max_pos=5, max_size=5)
             result = dual_norm(x)
             assert decomposition_weight(x, result) == result.value
+
+
+# (x, value, witness, certificate as (coefficients, depth)) of the cold
+# LP at supports 5-14, generated at commit 41b7114, before the LP took
+# seeds; the last two are the LP inputs of the wide_support benchmark
+COLD_PINS = [
+    (
+        '1:1,2:1,3:1,4:1,5:1',
+        '4',
+        '1:1,2:1,4:1,5:1',
+        [
+            ('1:1', 0),
+            ('2:1', 0),
+            ('3:1/2,4:1/2,5:1/2', 1),
+            ('4:1', 0),
+            ('5:1', 0),
+        ],
+    ),
+    (
+        '1:-4,5:1/3,6:-4/7,7:4,9:7/5,10:7/3',
+        '31/3',
+        '1:-1,7:1,10:1',
+        [
+            ('1:-1', 0),
+            ('5:1/2,6:-1/2,7:1/2,9:1/2,10:1/2', 1),
+            ('5:-1/2,7:1/2,9:1/2,10:1/2', 1),
+            ('7:1', 0),
+            ('5:1/2,6:1/2,7:1/2,9:1/2,10:1/2', 1),
+            ('10:1', 0),
+        ],
+    ),
+    (
+        '3:-1/9,4:1/2,5:-7/2,8:2/9,9:-1/2,11:1/7,13:4',
+        '15/2',
+        '5:-1,13:1',
+        [
+            ('3:-1/2,5:-1/2,13:1/2', 1),
+            ('4:1/2,5:-1/2,8:1/2,13:1/2', 1),
+            ('5:-1', 0),
+            ('5:-1/2,9:-1/2,11:-1/2,13:1/2', 1),
+            ('4:1/2,5:-1/2,8:-1/2,13:1/2', 1),
+            ('5:-1/2,8:1/2,9:-1/2,11:1/2,13:1/2', 1),
+            ('13:1', 0),
+        ],
+    ),
+    (
+        '4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1',
+        '32/11',
+        '4:6/11,5:4/11,6:2/11,7:4/11,8:6/11,9:5/11,10:3/11,11:2/11',
+        [
+            ('4:1/2,5:1/4,6:1/4,7:1/4,8:1/2,9:1/4,10:1/4,11:1/4', 2),
+            ('5:1/2,7:1/2,8:1/2,9:1/2,10:1/2', 1),
+            ('6:1/2,7:1/2,8:1/2,9:1/2,10:1/2,11:1/2', 1),
+            ('4:1/2,5:1/2,6:1/4,7:1/4,8:1/4,9:1/4,10:1/4,11:1/2', 2),
+            ('4:1/2,5:1/4,6:1/4,7:1/4,8:1/4,9:1/2,10:1/2', 2),
+            ('4:1/2,5:1/4,6:1/4,7:1/4,8:1/2,9:1/2', 2),
+            ('4:1/2,5:1/2,7:1/2,8:1/4,9:1/4,10:1/4,11:1/4', 2),
+            ('4:1/2,5:1/2,6:1/2,7:1/4,8:1/4,9:1/4,10:1/4,11:1/4', 2),
+        ],
+    ),
+    (
+        '1:1/9,2:-3,4:6,5:-1/2,8:-7/5,11:-8/3,14:-2,16:-1/2,18:-1,19:3/4',
+        '106/9',
+        '1:1,2:-1,4:1,11:-1',
+        [
+            ('1:1', 0),
+            ('2:-1', 0),
+            ('4:1', 0),
+            ('4:1/2,11:-1/2,14:-1/2,18:-1/2', 1),
+            ('4:1/2,5:-1/2,11:-1/2,14:-1/4,16:-1/4,18:-1/4,19:1/4', 2),
+            ('4:1/2,11:-1/2,16:-1/2,18:-1/2', 1),
+            ('4:1/2,11:-1/2,14:-1/2,16:-1/4,18:-1/4,19:1/4', 2),
+            ('4:1/2,8:-1/2,11:-1/2,14:-1/4,16:-1/4,18:-1/4,19:1/4', 2),
+            ('4:1/2,8:-1/2,11:-1/2,14:-1/2', 1),
+            ('4:1/2,8:-1/2,11:-1/2,14:-1/4,16:1/4,18:-1/4,19:1/4', 2),
+        ],
+    ),
+    (
+        '2:-4/9,6:3/8,9:-1/2,10:1/4,12:3/2,13:-2,14:9/4,17:7/8,18:7/3,20:-3,21:3,23:1',
+        '58/9',
+        '2:-1,20:-1,21:1',
+        [
+            ('2:-1', 0),
+            ('6:1/2,9:1/4,10:-1/4,12:1/4,13:1/4,14:1/2,17:1/2,20:-1/2,21:1/2', 2),
+            ('9:1/2,10:-1/2,12:1/2,13:-1/2,17:1/2,18:-1/2,20:-1/2,21:1/2,23:-1/2', 1),
+            ('9:-1/2,10:1/2,12:1/2,13:-1/2,14:1/2,17:1/2,18:1/2,20:-1/2,21:1/2', 1),
+            ('9:-1/2,10:-1/2,12:-1/2,14:1/2,17:1/2,18:-1/2,20:-1/2,21:1/2,23:1/2', 1),
+            ('9:1/2,10:-1/2,13:-1/2,14:1/2,17:-1/2,18:1/2,20:-1/2,21:1/2,23:1/2', 1),
+            ('9:1/2,12:-1/2,13:1/2,14:1/2,17:1/2,18:1/2,20:-1/2,21:1/2,23:-1/2', 1),
+            ('9:-1/2,10:-1/2,12:1/2,13:1/2,14:1/2,17:-1/2,20:-1/2,21:1/2,23:-1/2', 1),
+            ('10:-1/2,12:1/2,13:1/2,14:-1/2,17:1/2,18:1/2,20:-1/2,21:1/2,23:1/2', 1),
+            ('6:1/2,20:-1/2,21:1/2', 1),
+            ('21:1', 0),
+            ('9:1/2,10:1/2,12:1/2,13:1/2,14:1/2,18:-1/2,20:-1/2,21:1/2,23:1/2', 1),
+        ],
+    ),
+    (
+        '1:1,2:1,3:1,4:1,5:1,6:1,7:1,8:1,9:1,10:1,11:1,12:1,13:1,14:1',
+        '79/14',
+        '1:1,2:1,3:5/14,4:3/7,5:2/7,6:2/7,7:2/7,8:2/7,9:2/7,10:2/7,11:2/7,12:2/7,13:2/7,14:2/7',
+        [
+            ('1:1', 0),
+            ('2:1', 0),
+            ('4:1/2,5:1/2,6:1/2,7:1/4,8:1/4,9:1/4,10:1/4,11:1/4,12:1/4,14:1/4', 2),
+            ('4:1/2,5:1/2,7:1/2,8:1/4,9:1/4,10:1/4,11:1/4,12:1/4,13:1/4,14:1/4', 2),
+            ('4:1/2,5:1/2,6:1/2,7:1/4,8:1/4,9:1/4,10:1/4,11:1/4,12:1/4,13:1/4', 2),
+            ('4:1/2,6:1/2,7:1/2,8:1/4,9:1/4,10:1/4,11:1/4,12:1/4,13:1/4,14:1/4', 2),
+            ('7:1/2,9:1/2,10:1/2,11:1/2,12:1/2,13:1/2,14:1/2', 1),
+            ('8:1/2,9:1/2,10:1/2,11:1/2,12:1/2,13:1/2,14:1/2', 1),
+            ('4:1/2,5:1/2,6:1/2,7:1/4,8:1/4,9:1/4,11:1/4,12:1/4,13:1/4,14:1/4', 2),
+            ('7:1/2,8:1/2,9:1/2,10:1/2,11:1/2,13:1/2,14:1/2', 1),
+            ('7:1/2,8:1/2,9:1/2,10:1/2,11:1/2,12:1/2,13:1/2', 1),
+            ('3:1/2,4:1/4,5:1/4,6:1/4,7:1/4,8:1/4,9:1/4,10:1/4,11:1/4,12:1/4,13:1/4,14:1/4', 2),
+            ('7:1/2,8:1/2,9:1/2,10:1/2,12:1/2,13:1/2,14:1/2', 1),
+            ('4:1/2,5:1/2,6:1/2,7:1/4,8:1/4,10:1/4,11:1/4,12:1/4,13:1/4,14:1/4', 2),
+        ],
+    ),
+    (
+        '2:9/8,4:4/3,6:-6/7,10:-9/4,12:-1,14:9/7,15:-6,17:-1,19:-8/7,21:1/5,22:-1/2,23:8/5,25:-1/4,27:6/5',
+        '47983/5040',
+        '2:1,4:5/12,6:-1/6,10:-5/12,12:-1/12,14:1/6,15:-1,19:-1/12,23:1/6,27:1/12',
+        [
+            ('2:1', 0),
+            ('4:1/2,6:-1/4,10:-1/4,12:-1/4,14:1/4,15:-1/2,17:-1/4,19:-1/4,21:1/4,22:-1/4,23:1/4,27:1/4', 2),
+            ('6:-1/2,10:-1/2,12:-1/2,14:1/2,15:-1/2,23:1/2', 1),
+            ('4:1/2,6:-1/2,10:-1/2,15:-1/2', 1),
+            ('10:-1/2,12:-1/2,14:1/2,15:-1/2,17:-1/2,19:-1/2,21:1/2,22:-1/2,23:1/2,27:1/2', 1),
+            ('4:1/2,10:-1/2,14:1/2,15:-1/2', 1),
+            ('15:-1', 0),
+            ('4:1/2,10:-1/2,15:-1/2,23:1/2', 1),
+            ('4:1/2,10:-1/2,15:-1/2,17:-1/4,19:-1/4,21:-1/4,22:-1/4,23:1/4,25:-1/4,27:1/4', 2),
+            ('6:-1/2,10:-1/2,14:1/2,15:-1/2,19:-1/2,23:1/2', 1),
+            ('10:-1/2,12:-1/2,14:1/2,15:-1/2,17:-1/2,19:-1/2,21:-1/2,23:1/2,25:1/2,27:1/2', 1),
+            ('6:-1/2,10:-1/2,14:1/2,15:-1/2,23:1/2,27:1/2', 1),
+            ('10:-1/2,12:-1/2,14:1/2,15:-1/2,17:-1/2,19:-1/2,21:1/2,22:1/2,23:1/2,27:1/2', 1),
+            ('10:-1/2,12:-1/2,14:1/2,15:-1/2,17:1/2,19:-1/2,21:1/2,22:-1/2,23:1/2,27:1/2', 1),
+        ],
+    ),
+]
+
+
+class TestColdRunPinned:
+    @pytest.mark.parametrize("x, value, witness, certificate", COLD_PINS,
+                             ids=[str(len(vec(p[0]))) for p in COLD_PINS])
+    def test_value_witness_and_certificate(self, x, value, witness, certificate):
+        result = dual_norm(vec(x), Caps(dual=16))
+        assert str(result.value) == value
+        assert format_vector(result.witness) == witness
+        assert [(format_vector(f.coefficients), f.depth) for f in result.certificate] == certificate
+
+    def test_seeds_keep_the_value(self):
+        # every basis functional of a one-point-smaller subset, as a seed
+        x = ones(range(4, 12))
+        seeds = [
+            ({p: c for (p,), c in f.coefficients.items()}, f.depth)
+            for q in range(4, 12)
+            for f in dual_norm(ones(p for p in range(4, 12) if p != q)).certificate
+        ]
+        assert dual_norm(x, seeds=seeds).value == dual_norm(x).value == F(32, 11)

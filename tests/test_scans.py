@@ -1,19 +1,25 @@
 """The shared scans of the verifiers and embeddings: pinned reports,
-the restricted-growth family generator and the sign-sum maximum, each
-against the straightforward enumeration it replaced."""
+the restricted-growth family generator, the sign-sum maximum and the
+pooled 0/1 dual LPs, each against the straightforward route it
+replaced."""
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
 
+from banachlab.caps import Caps
+from banachlab.dual import dual_norm
 from banachlab.embeddings import max_sign_sum
-from banachlab.norms import NormEngine
+from banachlab.norms import NormEngine, nonempty_subsets
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec
 from banachlab.verifiers import (
+    _block_families,
     _disjoint_families,
+    _dual01_pool,
     c0_sampled_report,
     estimate_dm,
     hat_sampled_report,
@@ -105,6 +111,24 @@ REPORT_PINS = [
 ]
 
 
+# reports at the largest default-cap supports, generated at commit
+# 41b7114, before the 0/1 LPs were seeded from smaller subsets
+FRONTIER_PINS = [
+    ('block_c0', (9, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":9,"variant":"strict"},"pass":true,"samples":1681,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (9, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":9,"variant":"relaxed"},"pass":true,"samples":5991,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('block_c0', (10, 'strict'),
+     '{"bound_claimed":"2","lemma":"block-c0-strict","max_ratio":"2/1","params":{"max_support":10,"variant":"strict"},"pass":true,"samples":4059,"seed":null,"witness":{"blocks":[[2],[3]]}}'),
+    ('block_c0', (10, 'relaxed'),
+     '{"bound_claimed":"3","lemma":"block-c0-relaxed","max_ratio":"3/1","params":{"max_support":10,"variant":"relaxed"},"pass":true,"samples":16590,"seed":null,"witness":{"blocks":[[1],[3],[4]]}}'),
+    ('dm', (2, 10),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":10,"n":2},"pass":"reported","samples":9330,"seed":null,"witness":{"parts":[[9],[10]]}}'),
+    ('dm', (3, 10),
+     '{"bound_claimed":"D_M (no numeric value known)","lemma":"dm","max_ratio":"2/1","params":{"max_support":10,"n":3},"pass":"reported","samples":7770,"seed":null,"witness":{"parts":[[8],[9],[10]]}}'),
+]
+
+
 def _report(kind, args):
     if kind == "block_c0":
         return verify_block_c0(*args)
@@ -126,6 +150,41 @@ def _report(kind, args):
 )
 def test_pinned_report(kind, args, expected):
     assert _report(kind, args).to_json() == expected
+
+
+@pytest.mark.parametrize(
+    "kind, args, expected", FRONTIER_PINS, ids=[f"{p[0]}-{p[1]}" for p in FRONTIER_PINS]
+)
+def test_pinned_report_at_the_frontier(kind, args, expected):
+    assert _report(kind, args + (Caps(),)).to_json() == expected
+
+
+@cache
+def _cold01(subset):
+    """||1_subset|| in the dual norm from an unseeded LP."""
+    return dual_norm(SparseVec({(p,): F(1) for p in subset})).value
+
+
+def test_pool_matches_cold_lp_on_every_subset():
+    pooled = _dual01_pool(Caps())
+    for subset in nonempty_subsets(tuple(range(1, 10))):
+        assert pooled(subset) == _cold01(subset), subset
+
+
+@pytest.mark.parametrize("kind, a, b", [
+    ("block", 9, "strict"), ("block", 9, "relaxed"), ("dm", 2, 9), ("dm", 3, 9),
+], ids=["block-9-strict", "block-9-relaxed", "dm-2-9", "dm-3-9"])
+def test_pool_matches_cold_lp_in_family_order(kind, a, b):
+    # the seeds of a subset depend on the order the pool is queried in,
+    # so each verifier's own order is replayed
+    if kind == "block":
+        scan = _block_families(a, b)
+    else:
+        scan = _disjoint_families(range(a, b + 1), a)
+    pooled = _dual01_pool(Caps())
+    for union, parts in scan:
+        for subset in (union, *parts):
+            assert pooled(subset) == _cold01(subset), subset
 
 
 def _product_and_reject(positions, n):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from banachlab.caps import Caps
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import NormEngine
@@ -78,6 +79,15 @@ class TestEstimateDM:
         small = estimate_dm(2, 5).max_ratio
         large = estimate_dm(2, 7).max_ratio
         assert small <= large
+
+    def test_cap_counts_the_lp_support(self):
+        # [3, 11] has 9 points, [2, 12] has 11: the cap bounds the points
+        # the LPs and the enumeration span, not max_support
+        report = estimate_dm(3, 11, Caps())
+        assert report.samples == 34105
+        assert report.max_ratio == 2
+        with pytest.raises(CapExceeded):
+            estimate_dm(2, 12, Caps())
 
 
 class TestEstimateCM:
