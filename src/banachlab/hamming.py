@@ -69,6 +69,8 @@ class HammingSpace:
         self.k = k
         self.generator = generator
         self.engine = NormEngine(generator, caps or get_caps())
+        # distance by differing-position tuple: at most 2^k - 1 entries
+        self._distances: dict[tuple[int, ...], Fraction | float] = {}
 
     def _check(self, a: KSubset):
         if len(a) != self.k:
@@ -78,10 +80,15 @@ class HammingSpace:
         """The norm of the indicator of the differing-position set."""
         self._check(a)
         self._check(b)
-        F = differing_positions(a, b)
+        F = tuple(differing_positions(a, b))
         if not F:
             return Fraction(0)
-        return self.engine.norm(SparseVec({(j,): Fraction(1) for j in F}))
+        value = self._distances.get(F)
+        if value is None:
+            value = self._distances[F] = self.engine.norm(
+                SparseVec({(j,): Fraction(1) for j in F})
+            )
+        return value
 
     def diameter(self):
         """The norm of e_1 + ... + e_k; the diameter of [M]^k for every

@@ -378,8 +378,25 @@ def lp_norm(values, p) -> Fraction | float:
 # -- the engine ---------------------------------------------------------------
 
 
+_COSTLY = (Tsirelson, TsirelsonDual, ModifiedTsirelson, Schlumprecht)
+
+
 class NormEngine:
-    """Memoizing norm evaluator bound to one space expression.
+    """Norm evaluator bound to one space expression.
+
+    Only engines over T, T*, M and S(f) memoize: their evaluators are a
+    DP, an LP or a partition search, and the parts of a `Sum` repeat
+    across the vectors of a scan.  The top level of a `Sum` and the lp
+    spaces evaluate directly: a distortion scan hands the top level a
+    distinct f(a) - f(b) at every pair, so a memo there grows with the
+    pair count and never hits, and an lp norm of a few terms costs less
+    than hashing its key.
+
+    `norm` is the validating edge: it checks x against the space once
+    and hands it to the unchecked `_norm`.  A valid vector of a `Sum`
+    has valid parts and a valid outer vector, since validation walks
+    every path through every level, so `_sum_norm` passes them on to
+    `_norm` unchecked.
 
     Single-writer: the memo mutates, so share one instance per thread.
     Distinct instances over the same space produce identical values.
@@ -388,22 +405,32 @@ class NormEngine:
     def __init__(self, space: SpaceExpr, caps: Optional[Caps] = None):
         self.space = space
         self.caps = caps or get_caps()
-        self._memo: dict[SparseVec, Fraction | float] = {}
+        self._memo: Optional[dict[SparseVec, Fraction | float]] = (
+            {} if isinstance(space, _COSTLY) else None
+        )
         self._outer: Optional[NormEngine] = None
         self._inner: dict[int, NormEngine] = {}
 
     def norm(self, x: SparseVec) -> Fraction | float:
-        if x in self._memo:
-            return self._memo[x]
         validate_vector(self.space, x)
-        value = self._evaluate(x)
-        self._memo[x] = value
+        return self._norm(x)
+
+    def _norm(self, x: SparseVec) -> Fraction | float:
+        """Memo lookup and evaluation, without checking x: give it only
+        vectors already validated against this engine's space, or built
+        by arithmetic from such vectors."""
+        memo = self._memo
+        if memo is None:
+            return self._evaluate(x)
+        value = memo.get(x)
+        if value is None:
+            value = memo[x] = self._evaluate(x)
         return value
 
     def _evaluate(self, x: SparseVec):
         space = self.space
         if isinstance(space, (Lp, LpN)):
-            return lp_norm((abs(v) for v in dict(x.items()).values()), space.p)
+            return lp_norm((abs(v) for _, v in x.items()), space.p)
         if isinstance(space, Tsirelson):
             return tsirelson_norm(x)
         if isinstance(space, ModifiedTsirelson):
@@ -425,7 +452,7 @@ class NormEngine:
         outer_entries = {}
         for k, part in x.leading_groups().items():
             engine = self._inner_engine(space, k)
-            value = engine.norm(part)
+            value = engine._norm(part)
             if isinstance(value, float):
                 inexact = True
                 value = Fraction(value)
@@ -435,7 +462,7 @@ class NormEngine:
             self._outer = NormEngine(space.outer, self.caps)
         # part norms are nonzero Fractions by now, so the outer vector
         # is canonical as built
-        value = self._outer.norm(SparseVec._clean(outer_entries, 1))
+        value = self._outer._norm(SparseVec._clean(outer_entries, 1))
         return float(value) if inexact and isinstance(value, Fraction) else value
 
     def _inner_engine(self, space: Sum, k: int) -> "NormEngine":

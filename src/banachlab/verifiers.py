@@ -121,24 +121,41 @@ def _block_families(max_support: int, variant: str) -> Iterator[tuple]:
 def _disjoint_families(positions: Sequence[int], n: int) -> Iterator[tuple]:
     """Every family of n disjoint nonempty parts of `positions`, some
     positions unused, in the lexicographic order of its restricted-growth
-    labels (0 = unused, part j first appears after part j-1)."""
+    labels (0 = unused, part j first appears after part j-1).
+
+    The labels step like an odometer: the rightmost label that can grow
+    and still leave room for the labels not yet used grows by one, and
+    the labels after it restart at their least completion, zeros and
+    then the unused labels in order.  The union and the parts are lists
+    kept in step, so a step touches only the positions it relabels."""
     m = len(positions)
-
-    def labelings(i: int, seen: int) -> Iterator[tuple]:
-        """Labels of positions[i:] after labels 1..seen were used."""
-        if m - i < n - seen:
+    if m < n:
+        return
+    labels = [0] * (m - n) + list(range(1, n + 1))
+    top = [0] * (m - n + 1) + list(range(1, n + 1))  # top[i] = max(labels[:i])
+    used = list(positions[m - n :])
+    parts = [None] + [[p] for p in used]
+    while True:
+        yield tuple(used), [tuple(part) for part in parts[1:]]
+        for i in range(m - 1, -1, -1):
+            label = labels[i] + 1
+            seen = max(top[i], label)
+            if label <= min(top[i] + 1, n) and m - 1 - i >= n - seen:
+                break
+        else:
             return
-        if i == m:
-            yield ()
-            return
-        for label in range(min(seen + 1, n) + 1):
-            for rest in labelings(i + 1, max(seen, label)):
-                yield (label,) + rest
-
-    for labels in labelings(0, 0):
-        used = [(p, label) for p, label in zip(positions, labels) if label]
-        parts = [tuple(p for p, label in used if label == j) for j in range(1, n + 1)]
-        yield tuple(p for p, _ in used), parts
+        for old in labels[i:]:
+            if old:
+                parts[old].pop()
+                used.pop()
+        fresh = list(range(seen + 1, n + 1))
+        zeros = m - 1 - i - len(fresh)
+        labels[i:] = [label] + [0] * zeros + fresh
+        top[i + 1 :] = [seen] * (zeros + 1) + fresh
+        for p, new in zip(positions[i:], labels[i:]):
+            if new:
+                parts[new].append(p)
+                used.append(p)
 
 
 def verify_block_c0(

@@ -235,6 +235,24 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: bad array line {line!r}\n"
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1 3 3.4:1", "path 3.4: index 3 exceeds lpn width 2"),
+            ("1 3 4:1", "path 4 has depth 1, space has depth 2"),
+        ],
+    )
+    def test_array_row_outside_the_space_is_one_error_line(self, row, message, tmp_path, capsys):
+        lines = ["space: sum(lpn(1,2),repeat(T*))", "k: 2", "1 5 1.5:1", row]
+        path = tmp_path / "array.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["distortion", "--embedding", f"array:{path}", "--n", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_argparse_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags

@@ -2,6 +2,7 @@
 finite-linfty constants, and plegma completion."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -133,6 +134,25 @@ class TestDistortion:
     def test_budget_refusal(self):
         with pytest.raises(CapExceeded):
             measure_distortion(Prop73(F(1), 3), "hamming", 30)
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        # 17,955 pairs, each with its own f(a) - f(b); a memo of those
+        # differences would hold several MB at this n
+        tracemalloc.start()
+        try:
+            report = measure_distortion(Prop73(F(1), 2), "hamming", 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert report.to_dict() == {
+            "lower": "2/1",
+            "upper": "2/1",
+            "distortion": "1/1",
+            "argmin": [[1, 2], [1, 3]],
+            "argmax": [[1, 2], [1, 3]],
+            "pairs": 17955,
+        }
 
     def test_report_shape(self):
         report = measure_distortion(Prop73(F(1), 1), "johnson", 4)

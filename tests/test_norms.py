@@ -423,6 +423,18 @@ class TestEngineDispatch:
         with pytest.raises(InputError):
             NormEngine(parse_space("lpn(1,2)")).norm(vec("3:1"))
 
+    def test_sum_edge_validates_once_for_every_level(self):
+        # the parts and the outer vector are not checked again below the
+        # edge, so the edge alone must reject a bad outer index or depth
+        engine = NormEngine(parse_space("sum(lpn(1,2),repeat(T*))"))
+        with pytest.raises(InputError, match="index 3 exceeds lpn width 2"):
+            engine.norm(vec("3.1:1"))
+        with pytest.raises(InputError, match="depth 1, space has depth 2"):
+            engine.norm(vec("1:1"))
+        assert engine.norm(vec("1.2:1,2.3:1")) == 2
+        with pytest.raises(InputError, match="lpn width 2"):
+            engine.norm(vec("1.2:1,3.3:1"))
+
     def test_engines_agree_bitwise(self):
         space = parse_space("T")
         a, b = NormEngine(space), NormEngine(space)
