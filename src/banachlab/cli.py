@@ -242,22 +242,26 @@ def cmd_verify(args) -> int:
     _check_decimal(args)
     caps = get_caps()
     lemma = args.lemma
+    # each verifier's signature holds its own default sample count
+    sampled = {} if args.samples is None else {"samples": args.samples}
     if lemma == "block-c0":
         report = verify_block_c0(args.max_support, args.variant, caps)
     elif lemma == "dm":
         report = estimate_dm(args.n, args.max_support, caps)
     elif lemma == "cm":
-        report = estimate_cm(args.max_support, args.samples, args.seed, caps)
+        report = estimate_cm(args.max_support, seed=args.seed, caps=caps, **sampled)
     elif lemma == "l2":
         try:
             cuts = [int(c) for c in args.cuts.split(",")]
         except ValueError:
             raise InputError(f"--cuts must be comma-separated integers, got {args.cuts!r}") from None
-        report = verify_lemma_l2(args.k, cuts, args.samples, args.seed, args.ceiling, caps)
+        report = verify_lemma_l2(
+            args.k, cuts, seed=args.seed, ceiling=args.ceiling, caps=caps, **sampled
+        )
     elif lemma == "hat":
-        report = hat_sampled_report(args.k, args.samples, args.seed, caps)
+        report = hat_sampled_report(args.k, seed=args.seed, caps=caps, **sampled)
     elif lemma == "c0-subseq":
-        report = c0_sampled_report(args.k, args.samples, args.seed, caps)
+        report = c0_sampled_report(args.k, seed=args.seed, caps=caps, **sampled)
     elif lemma == "spreading":
         space = parse_space(args.space)
         report = spreading_report(
@@ -336,14 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SAMPLE_DEFAULTS = {"cm": 100, "l2": 50, "hat": 100, "c0-subseq": 20}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "samples", None) is None and getattr(args, "lemma", None):
-        args.samples = _SAMPLE_DEFAULTS.get(args.lemma, 100)
     try:
         return args.func(args)
     except CapExceeded as exc:

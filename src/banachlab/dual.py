@@ -16,21 +16,31 @@ depth k has coefficients +-2^-i with i <= k, so it enters the integer
 simplex as the column 2^k f with cost 2^k.  Both the value and the
 witness come out exactly rational.
 
+Columns.  Every column is a `Functional`: the starting basis e_p signed
+like x_p, each seed and each separation witness.  Each enters together
+with its negation, f first and then -f.  The certificate is the basis
+columns themselves, in the form `seeds` takes them.
+
 Seeds.  Any functional of the norming set K supported in supp x is a
 valid column, and extra valid columns never move the optimum: the loop
 still stops only when the DP certifies the dual vector.  `seeds` enter
-as columns, each with its negation, right after the starting basis, so
-a caller that knows good columns (a basis found for a smaller support:
-K is closed under restriction) saves rounds.  Seeds change the pivots,
-hence possibly the witness and the certificate, never the value; with
-no seeds the run is the cold one.
+right after the starting basis, so a caller that knows good columns (a
+basis found for a smaller support: K is closed under restriction) saves
+rounds.  Seeds change the pivots, hence possibly the witness and the
+certificate, never the value; with no seeds the run is the cold one.
+
+The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, each LP
+solved once and seeded with the certificates of the subsets S - {p}.
+The verifiers' block-family scans solve thousands of these nested LPs
+through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from functools import cache
+from typing import Callable, Iterable, Optional
 
 from .caps import Caps, get_caps
 from .errors import InputError
@@ -49,11 +59,10 @@ class LPResult:
 
 
 def dual_norm(
-    x: SparseVec, caps: Optional[Caps] = None, seeds: Iterable[tuple[dict, int]] = ()
+    x: SparseVec, caps: Optional[Caps] = None, seeds: Iterable[Functional] = ()
 ) -> LPResult:
     """The dual norm of x with an optimal witness and the basis
-    functionals.  Each seed is a norming functional (coeffs by position,
-    depth) supported in supp x."""
+    functionals.  Each seed is a norming functional supported in supp x."""
     caps = caps or get_caps()
     if x and x.depth != 1:
         raise InputError("the dual norm is defined on depth-1 vectors")
@@ -65,47 +74,76 @@ def dual_norm(
     coords = [x[(p,)] for p in positions]
 
     sx = StandardFormSimplex(coords)
-    columns: list[tuple[dict, int]] = []
+    columns: list[Functional] = []
 
-    def add(coeffs: dict, depth: int) -> int:
-        scale = 1 << depth
+    def add(f: Functional) -> int:
+        """Enter f and then -f; return the column index of f."""
+        scale = 1 << f.depth
         column = [0] * len(positions)
-        for p, c in coeffs.items():
+        for (p,), c in f.coefficients.items():
             column[row_of[p]] = c.numerator * (scale // c.denominator)
-        columns.append((coeffs, depth))
-        return sx.add_column(column, scale)
+        columns.extend((f, Functional(-f.coefficients, f.depth)))
+        index = sx.add_column(column, scale)
+        sx.add_column([-v for v in column], scale)
+        return index
 
-    basis = []
-    for p, value in zip(positions, coords):
-        sign = ONE if value >= 0 else -ONE
-        basis.append(add({p: sign}, 0))
-        add({p: -sign}, 0)
-    sx.set_basis(basis)
-    for coeffs, depth in seeds:
-        add(coeffs, depth)
-        add({p: -c for p, c in coeffs.items()}, depth)
+    sx.set_basis([
+        add(Functional(SparseVec._clean({(p,): ONE if v >= 0 else -ONE}, 1), 0))
+        for p, v in zip(positions, coords)
+    ])
+    for f in seeds:
+        add(f)
 
     for _ in range(100000):
         value = sx.solve()
-        y = SparseVec(
-            {(p,): d for p, d in zip(positions, sx.duals()) if d},
-            depth=1,
-        )
+        y = SparseVec._clean({(p,): d for p, d in zip(positions, sx.duals()) if d}, 1)
         t_norm, f_star, depth = tsirelson_norm_witness(y)
         if t_norm <= 1:
             break
-        add(f_star, depth)
-        add({p: -c for p, c in f_star.items()}, depth)
+        add(Functional(SparseVec._clean({(p,): c for p, c in f_star.items()}, 1), depth))
     else:
         raise SimplexError("column generation failed to converge")
 
     if inner_product(x, y) != value:
         raise SimplexError("duality certificate failed")
-    certificate = tuple(
-        Functional(SparseVec({(p,): c for p, c in columns[j][0].items()}), columns[j][1])
-        for j in sx.basis
-    )
-    return LPResult(value, y, certificate)
+    return LPResult(value, y, tuple(columns[j] for j in sx.basis))
+
+
+def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
+    """||1_S|| in the dual norm for sorted position tuples S, each LP
+    solved once.
+
+    The LP of S is seeded with the certificates of its one-point-smaller
+    subsets S - {p}, solved first through the same memo.  K is closed
+    under restriction, so these are valid columns for S; they leave the
+    value as it is and save most of the rounds.  The memo keeps each
+    value with its basis functionals, not the LP result.  A functional
+    is pooled once, under the sign that makes its first coefficient
+    positive (`dual_norm` enters both signs), and seeds go in the order
+    the pool first met them.  The depth-0 columns +-e_p are left out:
+    every LP starts from them."""
+    pool: dict[Functional, int] = {}  # sign-normalised functional -> discovery rank
+
+    @cache
+    def solve(subset: tuple) -> tuple[Fraction, tuple[Functional, ...]]:
+        pooled: set[Functional] = set()
+        if len(subset) > 1:
+            for i in range(len(subset)):
+                pooled.update(solve(subset[:i] + subset[i + 1:])[1])
+        seeds = sorted(pooled, key=pool.__getitem__)
+        # the module global, so that a wrapper set on dual.dual_norm sees every LP
+        result = dual_norm(SparseVec({(p,): ONE for p in subset}), caps, seeds)
+        basis = []
+        for f in result.certificate:
+            if not f.depth:
+                continue
+            if min(f.coefficients.items())[1] < 0:
+                f = Functional(-f.coefficients, f.depth)
+            pool.setdefault(f, len(pool))
+            basis.append(f)
+        return result.value, tuple(basis)
+
+    return lambda subset: solve(subset)[0]
 
 
 def verify_duality(x: SparseVec, y: SparseVec, caps: Optional[Caps] = None) -> bool:

@@ -41,6 +41,9 @@ from operator import mul
 from .errors import BanachLabError
 
 
+MAX_PIVOTS = 100000
+
+
 class SimplexError(BanachLabError):
     pass
 
@@ -90,9 +93,9 @@ class StandardFormSimplex:
         total = sum(self.costs[j] * v for j, v in zip(self.basis, self.xb))
         return Fraction(total, self.d * self.b_scale)
 
-    def solve(self, max_pivots: int = 100000) -> Fraction:
+    def solve(self) -> Fraction:
         cols, costs = self.cols, self.costs
-        for _ in range(max_pivots):
+        for _ in range(MAX_PIVOTS):
             z, d = self.z, self.d
             in_basis = set(self.basis)
             for entering, column in enumerate(cols):

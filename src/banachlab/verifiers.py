@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
-from .dual import dual_norm
+from .dual import dual01_pool
 from .embeddings import ell_infty_equivalence, max_sign_sum
 from .errors import InputError
 from .norms import NormEngine, chunkings, modified_norm, nonempty_subsets, tsirelson_norm
@@ -29,6 +28,8 @@ from .vectors import SparseVec, format_vector
 
 ONE = Fraction(1)
 DEFAULT_SEED = 1729
+RANDOM_MAX_SIZE = 6  # support size cap of the random vectors in `estimate_cm`
+BAND_WIDTH = 2  # columns per block in the seeded grid instances
 
 
 def tt_space() -> SpaceExpr:
@@ -44,56 +45,13 @@ def _require_positive(name: str, value: int) -> None:
 # -- block inequalities in the dual norm --------------------------------
 
 
-def _dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
-    """||1_S|| in the dual norm for sorted position tuples S, each LP
-    solved once.
-
-    The LP of S is seeded with the basis functionals of its
-    one-point-smaller subsets S - {p}, solved first through the same
-    memo.  K is closed under restriction, so these are valid columns for
-    S; they leave the value as it is and save most of the rounds.  The
-    memo keeps each value with the pool indices of its basis columns,
-    not the LP result.  A column is pooled once under the sign that
-    makes its first coefficient positive (the LP adds both signs), and
-    the depth-0 columns +-e_p are left out: every LP starts from them."""
-    pool: list[tuple[dict, int]] = []  # (coeffs by position, depth)
-    index: dict[tuple, int] = {}  # (depth, scaled coefficients) -> pool index
-
-    @cache
-    def solve(subset: tuple) -> tuple[Fraction, tuple[int, ...]]:
-        pooled: set[int] = set()
-        if len(subset) > 1:
-            for i in range(len(subset)):
-                pooled.update(solve(subset[:i] + subset[i + 1:])[1])
-        seeds = [pool[j] for j in sorted(pooled)]
-        result = dual_norm(SparseVec({(p,): ONE for p in subset}), caps, seeds)
-        basis = []
-        for f in result.certificate:
-            depth = f.depth
-            if not depth:
-                continue
-            items = sorted(f.coefficients.items())
-            scale = -1 << depth if items[0][1] < 0 else 1 << depth
-            key = (depth,) + tuple(
-                (p, c.numerator * scale // c.denominator) for (p,), c in items
-            )
-            j = index.get(key)
-            if j is None:
-                j = index[key] = len(pool)
-                pool.append(({p: c for (p,), c in items}, depth))
-            basis.append(j)
-        return result.value, tuple(basis)
-
-    return lambda subset: solve(subset)[0]
-
-
 def _max_family_ratio(families: Iterator[tuple], caps: Caps):
     """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
     (union, parts) pairs of 0/1 families; returns the max, the parts of
     the first family attaining it (None if none exceeds 0) and the
     family count.  Each 0/1 dual norm is solved once per call, through
-    `_dual01_pool`."""
-    dual01 = _dual01_pool(caps)
+    one `dual01_pool`, in the order the families name the sets."""
+    dual01 = dual01_pool(caps)
     best = Fraction(0)
     witness = None
     count = 0
@@ -259,8 +217,8 @@ def estimate_cm(
     )
 
 
-def _random_vector(rng: random.Random, max_support: int, max_size: int = 6) -> SparseVec:
-    size = rng.randint(1, min(max_size, max_support))
+def _random_vector(rng: random.Random, max_support: int) -> SparseVec:
+    size = rng.randint(1, min(RANDOM_MAX_SIZE, max_support))
     positions = rng.sample(range(1, max_support + 1), size)
     entries = {}
     for p in positions:
@@ -493,9 +451,7 @@ def select_c0_subsequence(
 # -- seeded instance generators (CLI and acceptance harnesses) -------------
 
 
-def random_hat_instance(
-    k: int, rng: random.Random, band_width: int = 2
-) -> list[SparseVec]:
+def random_hat_instance(k: int, rng: random.Random) -> list[SparseVec]:
     """k^(k+1) vectors satisfying the hat-selection preconditions, with
     norms exactly 1 or a random fraction of 1."""
     M = k ** (k + 1)
@@ -503,24 +459,22 @@ def random_hat_instance(
     out = []
     start = k + 1
     for _ in range(M):
-        band = list(range(start, start + band_width))
+        band = list(range(start, start + BAND_WIDTH))
         entries = {}
         rows = rng.sample(range(1, k + 1), rng.randint(1, k))
         for row in rows:
-            for col in rng.sample(band, rng.randint(1, band_width)):
+            for col in rng.sample(band, rng.randint(1, BAND_WIDTH)):
                 entries[(row, col)] = Fraction(rng.randint(1, 4), rng.randint(1, 4))
         vec = SparseVec(entries, depth=2)
         scale = 1 / engine.norm(vec)
         if rng.random() < 0.3:
             scale = scale * Fraction(rng.randint(1, 4), 4)
         out.append(scale * vec)
-        start += band_width
+        start += BAND_WIDTH
     return out
 
 
-def random_c0_instance(
-    k: int, rng: random.Random, band_width: int = 2
-) -> list[SparseVec]:
+def random_c0_instance(k: int, rng: random.Random) -> list[SparseVec]:
     """k^(k+1) normalized blocks for the subsequence selection, each
     living between consecutive squares [1, n_j]^2."""
     M = k ** (k + 1)
@@ -528,7 +482,7 @@ def random_c0_instance(
     out = []
     n_prev = k
     for _ in range(M):
-        n_j = n_prev + band_width
+        n_j = n_prev + BAND_WIDTH
         cells = []
         # a couple of hat cells (rows <= k, columns past n_prev)
         for _ in range(rng.randint(1, 2)):

@@ -340,7 +340,7 @@ class TestColdRunPinned:
         # every basis functional of a one-point-smaller subset, as a seed
         x = ones(range(4, 12))
         seeds = [
-            ({p: c for (p,), c in f.coefficients.items()}, f.depth)
+            f
             for q in range(4, 12)
             for f in dual_norm(ones(p for p in range(4, 12) if p != q)).certificate
         ]

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 
 from banachlab.caps import Caps
-from banachlab.dual import dual_norm
+from banachlab.dual import dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
 from banachlab.norms import NormEngine, nonempty_subsets
 from banachlab.spaces import parse_space
@@ -19,7 +19,6 @@ from banachlab.vectors import SparseVec
 from banachlab.verifiers import (
     _block_families,
     _disjoint_families,
-    _dual01_pool,
     c0_sampled_report,
     estimate_dm,
     hat_sampled_report,
@@ -166,7 +165,7 @@ def _cold01(subset):
 
 
 def test_pool_matches_cold_lp_on_every_subset():
-    pooled = _dual01_pool(Caps())
+    pooled = dual01_pool(Caps())
     for subset in nonempty_subsets(tuple(range(1, 10))):
         assert pooled(subset) == _cold01(subset), subset
 
@@ -181,7 +180,7 @@ def test_pool_matches_cold_lp_in_family_order(kind, a, b):
         scan = _block_families(a, b)
     else:
         scan = _disjoint_families(range(a, b + 1), a)
-    pooled = _dual01_pool(Caps())
+    pooled = dual01_pool(Caps())
     for union, parts in scan:
         for subset in (union, *parts):
             assert pooled(subset) == _cold01(subset), subset
