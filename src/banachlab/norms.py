@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import inf, isinf, lcm
 from operator import add
@@ -487,3 +488,16 @@ class Functional:
 
     def __call__(self, y: SparseVec) -> Fraction:
         return inner_product(self.coefficients, y)
+
+    def __neg__(self) -> "Functional":
+        return Functional(-self.coefficients, self.depth)
+
+    @cached_property
+    def scaled_terms(self) -> tuple[tuple[int, int], ...]:
+        """(p, 2^depth c_p) for the coefficients c_p of a depth-1
+        functional: integers, since each c_p is +-2^-i with i <= depth."""
+        scale = 1 << self.depth
+        return tuple(
+            (p, c.numerator * (scale // c.denominator))
+            for (p,), c in self.coefficients.items()
+        )

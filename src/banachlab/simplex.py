@@ -56,29 +56,40 @@ class StandardFormSimplex:
         self.cols: list[list[int]] = []
         self.costs: list[int] = []
         self.basis: list[int] = []
-        self.binv: list[list[int]] = []  # N; the basis inverse is N / d
+        self.binv: list = []  # N, rows of ints; the basis inverse is N / d
         self.d = 1
         self.xb: list[int] = []  # N b; the basic solution is N b / d
         self.z: list[int] = []  # c_B^T N; the duals are z / d
 
-    def add_column(self, column: list, cost) -> int:
+    def add_column(self, column: list, cost, *, integral: bool = False) -> int:
         """Append a column; ints and Fractions are accepted, and the pair
-        is scaled by the lcm of its denominators (1 for ints)."""
+        is scaled by the lcm of its denominators.  With `integral`, the
+        caller vouches that the column is a list of ints and the cost an
+        int, and they are stored as they are."""
         if len(column) != self.m:
             raise SimplexError("column length mismatch")
-        scale = lcm(cost.denominator, *(v.denominator for v in column))
-        self.cols.append([int(v * scale) for v in column])
-        self.costs.append(int(cost * scale))
+        if not integral:
+            scale = lcm(cost.denominator, *(v.denominator for v in column))
+            column = [int(v * scale) for v in column]
+            cost = int(cost * scale)
+        self.cols.append(column)
+        self.costs.append(cost)
         return len(self.cols) - 1
 
-    def set_basis(self, indices: list[int]) -> None:
+    def set_basis(self, indices: list[int], inverse=None) -> None:
         """Install a starting basis; its columns must be invertible and
-        the implied basic solution nonnegative."""
+        the implied basic solution nonnegative.  `inverse` is an (N, d)
+        already known for these columns, in the order of `indices`: N
+        the adjugate and d > 0 the determinant of the integer basis
+        matrix, signed together.  Without it, the pair is computed."""
         if len(indices) != self.m:
             raise SimplexError("basis size must equal the row count")
         self.basis = list(indices)
-        rows = [[self.cols[j][i] for j in indices] for i in range(self.m)]
-        self.binv, self.d = _integer_inverse(rows)
+        if inverse is None:
+            rows = [[self.cols[j][i] for j in indices] for i in range(self.m)]
+            inverse = _integer_inverse(rows)
+        binv, self.d = inverse
+        self.binv = list(binv)  # rows are replaced, never changed in place
         self.xb = [sum(map(mul, row, self.b)) for row in self.binv]
         costs = [self.costs[j] for j in indices]
         self.z = [sum(map(mul, costs, column)) for column in zip(*self.binv)]

@@ -45,23 +45,32 @@ def _require_positive(name: str, value: int) -> None:
 # -- block inequalities in the dual norm --------------------------------
 
 
-def _max_family_ratio(families: Iterator[tuple], caps: Caps):
+def _max_family_ratio(families: Iterator[tuple], caps: Caps, low: int):
     """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
     (union, parts) pairs of 0/1 families; returns the max, the parts of
     the first family attaining it (None if none exceeds 0) and the
     family count.  Each 0/1 dual norm is solved once per call, through
-    one `dual01_pool`, in the order the families name the sets."""
-    dual01 = dual01_pool(caps)
-    best = Fraction(0)
+    one `dual01_pool` over positions from `low`, in the order the
+    families name the sets.  The ratios are compared as integer
+    numerator and denominator pairs, cross-multiplied (every dual norm
+    here is positive); only the maximum becomes a `Fraction`."""
+    dual01 = dual01_pool(caps, low)
+    best_num, best_den = 0, 1
     witness = None
     count = 0
     for union, parts in families:
         count += 1
-        ratio = dual01(union) / max(dual01(part) for part in parts)
-        if ratio > best:
-            best = ratio
+        total = dual01(union)
+        top_num, top_den = 0, 1
+        for part in parts:
+            value = dual01(part)
+            if value.numerator * top_den > top_num * value.denominator:
+                top_num, top_den = value.numerator, value.denominator
+        num, den = total.numerator * top_den, total.denominator * top_num
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
             witness = parts
-    return best, witness, count
+    return Fraction(best_num, best_den), witness, count
 
 
 def _block_families(max_support: int, variant: str) -> Iterator[tuple]:
@@ -132,7 +141,7 @@ def verify_block_c0(
     _require_positive("max_support", max_support)
     caps.check("dual", max_support)
     bound = Fraction(2) if variant == "strict" else Fraction(3)
-    best, parts, families = _max_family_ratio(_block_families(max_support, variant), caps)
+    best, parts, families = _max_family_ratio(_block_families(max_support, variant), caps, 1)
     return VerifierReport(
         lemma=f"block-c0-{variant}",
         params={"max_support": max_support, "variant": variant},
@@ -158,7 +167,7 @@ def estimate_dm(
     caps.check("dual", len(positions))  # every LP and the enumeration span these
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
-    best, parts, families = _max_family_ratio(_disjoint_families(positions, n), caps)
+    best, parts, families = _max_family_ratio(_disjoint_families(positions, n), caps, n)
     return VerifierReport(
         lemma="dm",
         params={"n": n, "max_support": max_support},

@@ -3,7 +3,9 @@ the restricted-growth family generator, the sign-sum maximum and the
 pooled 0/1 dual LPs, each against the straightforward route it
 replaced."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -14,6 +16,7 @@ from banachlab.caps import Caps
 from banachlab.dual import dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
 from banachlab.norms import NormEngine, nonempty_subsets
+from banachlab.simplex import SimplexError, StandardFormSimplex, _integer_inverse
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec
 from banachlab.verifiers import (
@@ -184,6 +187,56 @@ def test_pool_matches_cold_lp_in_family_order(kind, a, b):
     for union, parts in scan:
         for subset in (union, *parts):
             assert pooled(subset) == _cold01(subset), subset
+
+
+def test_pool_below_low_starts_from_the_unit_basis():
+    # no inverse is kept for sets whose first point is at most `low`, so
+    # the sets that reach below it are solved without a warm start
+    pooled = dual01_pool(Caps(), low=4)
+    for subset in nonempty_subsets(tuple(range(1, 8))):
+        assert pooled(subset) == _cold01(subset), subset
+
+
+def test_pool_memo_dies_with_the_pool():
+    # a self-recursive closure would hold the memo in a reference cycle,
+    # alive after the verifier returns until a cyclic collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pooled = dual01_pool(Caps())
+        pooled(tuple(range(1, 7)))
+        functional = weakref.ref(pooled.pooled[0])
+        del pooled
+        assert functional() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_infeasible_warm_start_is_refused():
+    # columns 0-3 are e_1, -e_1, e_2, -e_2; the basis (-e_1, e_2) has the
+    # basic solution (-1, 1) for x = e_1 + e_2
+    inverse = _integer_inverse([[-1, 0], [0, 1]])
+    assert inverse == ([[-1, 0], [0, 1]], 1)
+    with pytest.raises(SimplexError, match="starting basis is infeasible"):
+        dual_norm(SparseVec({(1,): F(1), (2,): F(1)}), start=([1, 2], inverse))
+
+
+def test_warm_starts_keep_the_pivots_down(monkeypatch):
+    # the benchmark's block_c0 workload; seeded from the e_p basis
+    # instead, its 1,022 LPs take 5,180 pivots
+    pivot = StandardFormSimplex._pivot
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return pivot(*args)
+
+    monkeypatch.setattr(StandardFormSimplex, "_pivot", counted)
+    verify_block_c0(9, "strict")
+    verify_block_c0(9, "relaxed")
+    assert count < 2000
 
 
 def _product_and_reject(positions, n):
