@@ -37,7 +37,8 @@ class Caps:
 
 
 def parse_caps(text: str) -> Caps:
-    """Parse a `name=value,...` override string."""
+    """Parse a `name=value,...` override string; each value is an
+    integer of at least 1."""
     from .errors import InputError
 
     values = {}
@@ -50,9 +51,12 @@ def parse_caps(text: str) -> Caps:
         if name not in ("tsirelson", "modified", "dual"):
             raise InputError(f"unknown cap name {name!r} in {ENV_VAR}")
         try:
-            values[name] = int(value)
+            limit = int(value)
         except ValueError:
-            raise InputError(f"bad cap value {value!r} for {name!r}") from None
+            limit = 0
+        if limit < 1:  # a cap below 1 would refuse every support
+            raise InputError(f"bad cap value {value!r} for {name!r}")
+        values[name] = limit
     return Caps(**values)
 
 

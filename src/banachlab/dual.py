@@ -38,10 +38,11 @@ feasible one, given like `LPResult.basis`: column indices in the order
 above and the integer inverse (N, d) of those columns.  It changes the
 pivots, never the value.
 
-The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, each LP
-solved once, seeded with the certificates of the subsets S - {p} and
-started from the basis of S minus its first point.  The verifiers'
-block-family scans solve thousands of these nested LPs through it.
+The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, one LP
+per class of clipped positions min(s_i, |S| - i), on which the value
+depends alone.  Each LP is seeded with the basis functionals of the
+classes of the subsets S - {p} and started from the basis of the class
+of S minus its first point.
 """
 
 from __future__ import annotations
@@ -142,96 +143,117 @@ def dual_norm(
     return LPResult(value, y, certificate, (tuple(sx.basis), inverse))
 
 
-def dual01_pool(caps: Caps, low: int = 1) -> Callable[[tuple], Fraction]:
-    """||1_S|| in the dual norm for sorted position tuples S, each LP
-    solved once; `low` is the lowest position the sets hold.
+def clipped_class(subset: tuple, slack: int = 0) -> tuple:
+    """The clipped positions min(s_i, |S| - i + slack) of a sorted
+    position tuple S = (s_0, ..., s_{m-1}): with slack 0 the class of
+    ||1_S|| in `dual01_pool`, with slack 1 the union class of the
+    block-family scans in `verifiers`."""
+    top = len(subset) + slack
+    return tuple(min(p, top - i) for i, p in enumerate(subset))
 
-    The LP of S is seeded with the certificates of its one-point-smaller
-    subsets S - {p}, solved first through the same memo.  K is closed
-    under restriction, so these are valid columns for S; they leave the
-    value as it is and save most of the rounds.  A functional is pooled
-    once, under the sign that makes its first coefficient positive
-    (`dual_norm` enters both signs), and seeds go in the order the pool
-    first met them.  The depth-0 columns +-e_p are not seeds: every LP
-    enters them first.
 
-    The LP of S then starts from the optimal basis of rest = S - {S[0]}
-    plus +e_{S[0]}, which is feasible for S: its basic solution is the
-    one of rest with 1 on S[0].  Its integer inverse is the one of rest
-    with a zero row and column for S[0] and the determinant d of rest on
-    their diagonal, so the pool keeps (N, d) for every set that can be a
-    rest, those whose first point is above `low`.  A set below `low` may
-    still be asked for; its LP then starts from the e_p."""
-    return _Dual01Pool(caps, low)
+def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
+    """||1_S|| in the dual norm for sorted position tuples S, one LP per
+    class c(S) = `clipped_class(S)`, c_i = min(s_i, m - i), m = |S|.
+
+    Functionals move between the sets of one class.  A functional of the
+    norming set K supported in S is +-e_p or 1/2 (f_1 + ... + f_n) with
+    f_j in K of successive nonempty supports and n <= min supp f_1.  If
+    supp f_1 starts at s_i, the n supports are disjoint nonempty subsets
+    of s_i < ... < s_{m-1}, so n <= m - i holds anyway and n <= s_i
+    holds iff n <= c_i.  This is every admissibility test in the tree of
+    the functional, so for S' with c(S') = c(S) the order isomorphism
+    S -> S' maps K restricted to S onto K restricted to S', term by term
+    with the same coefficients.  The LP of 1_S and the LP of 1_S' are
+    then the same program in the point indices 0..m-1, and ||1_S|| =
+    ||1_S'||.  The memo keeps functionals in that form: (depth, terms,
+    negated), terms the (index, 2^depth coefficient) pairs signed so
+    that the first coefficient is positive.  The depth-0 functionals
+    are the columns +-e_i that every LP enters first.
+
+    Sub-classes are functions of the class.  Dropping s_k keeps s_i at
+    index i for i < k, clipped by m - 1 - i, and moves s_i to index
+    i - 1 for i > k, clipped by (m - 1) - (i - 1) = m - i; so
+    c(S - {s_k}) = (min(c_0, m - 1), ..., min(c_{k-1}, m - k), c_{k+1},
+    ..., c_{m-1}), and in particular c(S[1:]) = c[1:].  Each LP is
+    solved on the first set asked for in its class.
+
+    Seeds.  The LP of S is seeded with the basis functionals of each
+    S - {s_k}, solved first through the same memo, their indices i >= k
+    moved to i + 1.  They are in K by the fact above and supported in
+    S, so they are valid columns; they leave the value as it is and save
+    most of the rounds.  Seeds go in the order of k and then of the
+    basis, each once.
+
+    Warm start.  The LP of S then starts from the optimal basis of the
+    class of rest = S[1:], its indices moved up by one, plus +e_0.  It
+    is feasible for S: its basic solution is the one of rest with 1 on
+    index 0.  Its integer inverse is the one of rest with a zero row and
+    column for index 0 and the determinant d of rest on their diagonal,
+    so the memo keeps (N, d) with each class."""
+    return _Dual01Pool(caps)
 
 
 class _Dual01Pool:
     """The memo behind `dual01_pool`.  It is an object rather than a
     self-recursive closure, which would be a reference cycle that keeps
-    the memo alive after its last use, until the next cyclic collection.
+    the memo alive after its last use, until the next cyclic collection."""
 
-    The memo keeps each value with its basis, one int per column: ~j for
-    the e_p column j (column j + 2 once S[0] is prepended), 2r + s for
-    pooled functional r, negated if s = 1."""
-
-    def __init__(self, caps: Caps, low: int):
+    def __init__(self, caps: Caps):
         self.caps = caps
-        self.low = low
-        self.memo: dict[tuple, tuple] = {}  # S -> (value, basis, (N, d) or None)
-        self.rank: dict[Functional, int] = {}  # sign-normalised functional -> discovery rank
-        self.pooled: list[Functional] = []  # by rank
+        self.memo: dict[tuple, tuple] = {}  # class -> (value, basis, (N, d))
 
     def __call__(self, subset: tuple) -> Fraction:
-        return (self.memo.get(subset) or self.solve(subset))[0]
+        return self.solve(subset)[0]
 
-    def solve(self, subset: tuple) -> tuple[Fraction, tuple[int, ...], Optional[tuple]]:
-        memo, pooled = self.memo, self.pooled
-        entry = memo.get(subset)
+    def solve(self, subset: tuple) -> tuple[Fraction, tuple[tuple, ...], tuple]:
+        key = clipped_class(subset)
+        entry = self.memo.get(key)
         if entry is not None:
             return entry
         n = len(subset)
-        ranks: set[int] = set()
-        for i in range(n if n > 1 else 0):
-            ranks.update(c >> 1 for c in self.solve(subset[:i] + subset[i + 1:])[1] if c >= 0)
-        seeds = sorted(ranks)
-        m = n + len(seeds)
+        seeds: dict[tuple, int] = {}  # (depth, terms) -> seed number
+        rest = None  # the entry of S[1:], solved first, at k = 0
+        for k in range(n if n > 1 else 0):
+            sub = self.solve(subset[:k] + subset[k + 1:])
+            rest = rest or sub
+            for depth, terms, _ in sub[1]:
+                if depth:
+                    seeds.setdefault((depth, tuple((i + (i >= k), c) for i, c in terms)), len(seeds))
         start = None
         if n > 1:
-            _, rest_basis, rest_inverse = memo[subset[1:]]  # solved first, at i = 0
-            if rest_inverse is not None:
-                seed_at = {r: k for k, r in enumerate(seeds)}
-                indices = [0] + [
-                    ~c + 2 if c < 0 else 2 * (n + seed_at[c >> 1]) + (c & 1)
-                    for c in rest_basis
-                ]
-                rows, d = rest_inverse
-                head = (d,) + (0,) * len(rows)
-                start = (indices, ((head, *((0, *row) for row in rows)), d))
+            _, rest_basis, (rows, d) = rest
+            indices = [0]
+            for depth, terms, negated in rest_basis:
+                if depth:
+                    j = n + seeds[(depth, tuple((i + 1, c) for i, c in terms))]
+                else:
+                    j = terms[0][0] + 1
+                indices.append(2 * j + negated)
+            head = (d,) + (0,) * len(rows)
+            start = (indices, ((head, *((0, *row) for row in rows)), d))
         # the module global, so that a wrapper set on dual.dual_norm sees every LP
         result = dual_norm(
             SparseVec({(p,): ONE for p in subset}),
             self.caps,
-            [pooled[r] for r in seeds],
+            [
+                Functional(
+                    SparseVec._clean({(subset[i],): Fraction(c, 1 << depth) for i, c in terms}, 1),
+                    depth,
+                )
+                for depth, terms in seeds
+            ],
             start=start,
         )
-        indices, inverse = result.basis
+        index = {p: i for i, p in enumerate(subset)}
         basis = []
-        for j, f in zip(indices, result.certificate):
-            if j < 2 * n:
-                basis.append(~j)
-            elif j < 2 * m:
-                basis.append(2 * seeds[(j >> 1) - n] + (j & 1))
-            else:
-                negated = min(f.coefficients.items())[1] < 0
-                if negated:
-                    f = -f
-                r = self.rank.setdefault(f, len(pooled))
-                if r == len(pooled):
-                    pooled.append(f)
-                basis.append(2 * r + negated)
-        entry = memo[subset] = (
-            result.value, tuple(basis), inverse if subset[0] > self.low else None
-        )
+        for f in result.certificate:
+            terms = sorted((index[p], c) for p, c in f.scaled_terms)
+            negated = terms[0][1] < 0
+            if negated:
+                terms = [(i, -c) for i, c in terms]
+            basis.append((f.depth, tuple(terms), negated))
+        entry = self.memo[key] = (result.value, tuple(basis), result.basis[1])
         return entry
 
 

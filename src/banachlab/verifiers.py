@@ -15,10 +15,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
-from .dual import dual01_pool
+from .dual import clipped_class, dual01_pool
 from .embeddings import ell_infty_equivalence, max_sign_sum
 from .errors import InputError
 from .norms import NormEngine, chunkings, modified_norm, nonempty_subsets, tsirelson_norm
@@ -45,44 +45,68 @@ def _require_positive(name: str, value: int) -> None:
 # -- block inequalities in the dual norm --------------------------------
 
 
-def _max_family_ratio(families: Iterator[tuple], caps: Caps, low: int):
+def _max_family_ratio(groups: Iterable[tuple], caps: Caps):
     """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
-    (union, parts) pairs of 0/1 families; returns the max, the parts of
-    the first family attaining it (None if none exceeds 0) and the
-    family count.  Each 0/1 dual norm is solved once per call, through
-    one `dual01_pool` over positions from `low`, in the order the
-    families name the sets.  The ratios are compared as integer
-    numerator and denominator pairs, cross-multiplied (every dual norm
-    here is positive); only the maximum becomes a `Fraction`."""
-    dual01 = dual01_pool(caps, low)
+    (union, parts) pairs of 0/1 families, given as (weight, families)
+    groups in which each family counts `weight` times; returns the max,
+    the parts of the first family attaining it (None if none exceeds 0)
+    and the weighted family count.  The 0/1 dual norms come from one
+    `dual01_pool`, through a memo of their integer numerator and
+    denominator in front of it.  The ratios are compared as integer
+    pairs, cross-multiplied (every dual norm here is positive); only the
+    maximum becomes a `Fraction`."""
+    dual01 = dual01_pool(caps)
+    values: dict[tuple, tuple[int, int]] = {}
+
+    def solve(subset: tuple) -> tuple[int, int]:
+        value = dual01(subset)
+        pair = values[subset] = (value.numerator, value.denominator)
+        return pair
+
     best_num, best_den = 0, 1
     witness = None
     count = 0
-    for union, parts in families:
-        count += 1
-        total = dual01(union)
-        top_num, top_den = 0, 1
-        for part in parts:
-            value = dual01(part)
-            if value.numerator * top_den > top_num * value.denominator:
-                top_num, top_den = value.numerator, value.denominator
-        num, den = total.numerator * top_den, total.denominator * top_num
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-            witness = parts
+    for weight, families in groups:
+        for union, parts in families:
+            count += weight
+            total_num, total_den = values.get(union) or solve(union)
+            top_num, top_den = 0, 1
+            for part in parts:
+                num, den = values.get(part) or solve(part)
+                if num * top_den > top_num * den:
+                    top_num, top_den = num, den
+            num, den = total_num * top_den, total_den * top_num
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                witness = parts
     return Fraction(best_num, best_den), witness, count
 
 
-def _block_families(max_support: int, variant: str) -> Iterator[tuple]:
-    """Every subset of [1, max_support] split into consecutive blocks,
-    with the part count n at most min supp(x_1) (strict) or, for n > 1,
-    at most min supp(x_2) (relaxed)."""
-    lead = 0 if variant == "strict" else 1
-    for subset in nonempty_subsets(tuple(range(1, max_support + 1))):
-        for n in range(1, len(subset) + 1):
-            for parts in chunkings(subset, n):
-                if n <= parts[min(lead, n - 1)][0]:
-                    yield subset, parts
+def _union_classes(max_support: int) -> Iterable[list]:
+    """[class size, first union] for each union class
+    `clipped_class(U, 1)` of the nonempty U in [1, max_support], in the
+    `nonempty_subsets` order of the first unions."""
+    classes: dict[tuple, list] = {}
+    for union in nonempty_subsets(tuple(range(1, max_support + 1))):
+        classes.setdefault(clipped_class(union, 1), [0, union])[0] += 1
+    return classes.values()
+
+
+def _blocks(union: tuple, variant: str) -> Iterator[list]:
+    """The splits of `union` into consecutive blocks with the part count
+    n at most min supp(x_1) (strict) or, for n > 1, at most min supp(x_2)
+    (relaxed), by n and then in `chunkings` order."""
+    m = len(union)
+    if variant == "strict":
+        for n in range(1, min(union[0], m) + 1):
+            yield from chunkings(union, n)
+        return
+    yield [union]
+    for n in range(2, m + 1):
+        for k in range(1, m - n + 2):  # x_1 = union[:k]
+            if n <= union[k]:
+                for rest in chunkings(union[k:], n - 1):
+                    yield [union[:k], *rest]
 
 
 def _disjoint_families(positions: Sequence[int], n: int) -> Iterator[tuple]:
@@ -128,12 +152,23 @@ def _disjoint_families(positions: Sequence[int], n: int) -> Iterator[tuple]:
 def verify_block_c0(
     max_support: int = 10, variant: str = "strict", caps: Optional[Caps] = None
 ) -> VerifierReport:
-    """Enumerate every 0/1 block family in [1, max_support] and compare
-    ||sum x_j|| against max_j ||x_j|| in the dual norm.
+    """Compare ||sum x_j|| against max_j ||x_j|| in the dual norm over
+    every 0/1 block family in [1, max_support].
 
     strict:  admissible when the part count n is at most min supp(x_1);
     relaxed: at most min supp(x_2).  The strict bound 2 and relaxed
     bound 3 are hard assertions.
+
+    Only the first union U of each class c'_i = min(u_i, |U| - i + 1)
+    is scanned, its families counted by the class size.  Within a class,
+    the families of one union map to those of another by the order
+    isomorphism, with the same ratios and in the same order: a block
+    starting at u_i holds at most |U| - i points, so its 0/1 class
+    (`dual01_pool`) is a function of c'; n <= u_0 with n <= |U| is
+    n <= c'_0; and if x_2 starts at u_k, n - 1 <= |U| - k, so n <= u_k
+    is n <= c'_k.  The first union attaining the maximum is the first of
+    its class, so the witness is the first attaining family of the full
+    enumeration.
     """
     caps = caps or get_caps()
     if variant not in ("strict", "relaxed"):
@@ -141,7 +176,11 @@ def verify_block_c0(
     _require_positive("max_support", max_support)
     caps.check("dual", max_support)
     bound = Fraction(2) if variant == "strict" else Fraction(3)
-    best, parts, families = _max_family_ratio(_block_families(max_support, variant), caps, 1)
+    groups = (
+        (size, ((union, parts) for parts in _blocks(union, variant)))
+        for size, union in _union_classes(max_support)
+    )
+    best, parts, families = _max_family_ratio(groups, caps)
     return VerifierReport(
         lemma=f"block-c0-{variant}",
         params={"max_support": max_support, "variant": variant},
@@ -167,7 +206,7 @@ def estimate_dm(
     caps.check("dual", len(positions))  # every LP and the enumeration span these
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
-    best, parts, families = _max_family_ratio(_disjoint_families(positions, n), caps, n)
+    best, parts, families = _max_family_ratio(((1, _disjoint_families(positions, n)),), caps)
     return VerifierReport(
         lemma="dm",
         params={"n": n, "max_support": max_support},

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from banachlab.caps import Caps, parse_caps
 from banachlab.cli import main
+from banachlab.errors import InputError
 from banachlab.norms import NormEngine
 
 
@@ -145,6 +147,18 @@ class TestExitCodes:
         assert code == 3
         assert "refused" in err
 
+    def test_parse_caps(self):
+        assert parse_caps(" dual = 14 ,modified=8,") == Caps(modified=8, dual=14)
+        assert parse_caps("tsirelson=1") == Caps(tsirelson=1)
+        for text, message in [
+            ("dual=0", "bad cap value '0' for 'dual'"),
+            ("dual=-1", "bad cap value '-1' for 'dual'"),
+            ("modified=x", "bad cap value 'x' for 'modified'"),
+            ("lp=3", "unknown cap name 'lp'"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                parse_caps(text)
+
     def test_oracle_restricted_to_tsirelson(self, capsys):
         code, _, _ = run_cli(["norm", "--space", "l1", "--vec", "1:1", "--oracle"], capsys)
         assert code == 2
@@ -192,10 +206,17 @@ class TestExitCodes:
         # every signed sum of the normalized z_j has norm >= 1
         ["verify", "l2", "--ceiling", "0"],
         ["verify", "l2", "--ceiling", "-3"],
+        # leading NAME=value words set the environment, as in a shell
+        ["BANACHLAB_CAPS=dual=0", "verify", "block-c0", "--max-support", "3"],
+        ["BANACHLAB_CAPS=dual=-1", "dual-norm", "--vec", "1:1"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
-    def test_bad_input_is_one_error_line(self, argv, capsys):
+    def test_bad_input_is_one_error_line(self, argv, capsys, monkeypatch):
+        while "=" in argv[0]:
+            name, _, value = argv[0].partition("=")
+            monkeypatch.setenv(name, value)
+            argv = argv[1:]
         code, out, err = run_cli(argv, capsys)
         assert code == 2
         assert out == ""

@@ -1,7 +1,7 @@
 """The shared scans of the verifiers and embeddings: pinned reports,
-the restricted-growth family generator, the sign-sum maximum and the
-pooled 0/1 dual LPs, each against the straightforward route it
-replaced."""
+the restricted-growth family generator, the sign-sum maximum, the
+union classes of the block scan and the class-pooled 0/1 dual LPs, each
+against the straightforward route it replaced."""
 
 import gc
 import random
@@ -12,16 +12,18 @@ from itertools import product
 
 import pytest
 
+from banachlab import dual, verifiers
 from banachlab.caps import Caps
-from banachlab.dual import dual01_pool, dual_norm
+from banachlab.dual import clipped_class, dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
-from banachlab.norms import NormEngine, nonempty_subsets
+from banachlab.norms import NormEngine, chunkings, nonempty_subsets
 from banachlab.simplex import SimplexError, StandardFormSimplex, _integer_inverse
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec
 from banachlab.verifiers import (
-    _block_families,
+    _blocks,
     _disjoint_families,
+    _union_classes,
     c0_sampled_report,
     estimate_dm,
     hat_sampled_report,
@@ -167,34 +169,102 @@ def _cold01(subset):
     return dual_norm(SparseVec({(p,): F(1) for p in subset})).value
 
 
+SUBSETS_10 = list(nonempty_subsets(tuple(range(1, 11))))
+
+
 def test_pool_matches_cold_lp_on_every_subset():
     pooled = dual01_pool(Caps())
-    for subset in nonempty_subsets(tuple(range(1, 10))):
+    for subset in SUBSETS_10:
         assert pooled(subset) == _cold01(subset), subset
+
+
+def _class_mismatches(clip):
+    """Subsets of [1, 10] whose cold value differs from the cold value
+    of the first subset with the same `clip` key."""
+    first = {}
+    return sum(first.setdefault(clip(s), _cold01(s)) != _cold01(s) for s in SUBSETS_10)
+
+
+def test_cold_value_is_constant_on_each_class():
+    assert _class_mismatches(clipped_class) == 0
+
+
+# clips one point too coarse: classes that merge sets of different norms
+COARSER_CLIPS = {
+    "m-i-1": lambda s: tuple(min(p, len(s) - i - 1) for i, p in enumerate(s)),
+    "m-1": lambda s: tuple(min(p, len(s) - 1) for p in s),
+}
+
+
+@pytest.mark.parametrize("clip", COARSER_CLIPS.values(), ids=COARSER_CLIPS.keys())
+def test_coarser_clips_break_class_constancy(clip, monkeypatch):
+    assert _class_mismatches(clip) > 0
+    monkeypatch.setattr(dual, "clipped_class", clip)
+    pooled = dual01_pool(Caps())
+    assert any(pooled(subset) != _cold01(subset) for subset in SUBSETS_10)
+
+
+def _all_block_families(max_support, variant):
+    """The former block-c0 scan: every subset of [1, max_support] split
+    every way into consecutive blocks, filtered by admissibility."""
+    lead = 0 if variant == "strict" else 1
+    for subset in nonempty_subsets(tuple(range(1, max_support + 1))):
+        for n in range(1, len(subset) + 1):
+            for parts in chunkings(subset, n):
+                if n <= parts[min(lead, n - 1)][0]:
+                    yield subset, parts
+
+
+@pytest.mark.parametrize("variant", ["strict", "relaxed"])
+@pytest.mark.parametrize("max_support", [9, 10])
+def test_block_c0_matches_the_plain_enumeration(max_support, variant):
+    best, witness, count = F(0), None, 0
+    for union, parts in _all_block_families(max_support, variant):
+        count += 1
+        ratio = _cold01(union) / max(map(_cold01, parts))
+        if ratio > best:
+            best, witness = ratio, parts
+    report = verify_block_c0(max_support, variant, Caps())
+    assert (report.samples, report.max_ratio) == (count, best)
+    assert report.witness == {"blocks": [list(part) for part in witness]}
+
+
+def test_union_clip_needs_its_slack(monkeypatch):
+    # relaxed admissibility n <= u_k can bind up to n = |U| - k + 1, one
+    # past the clip of the 0/1 classes, which merges unions it tells apart
+    want = verify_block_c0(9, "relaxed", Caps())
+    monkeypatch.setattr(verifiers, "clipped_class", lambda s, slack=0: clipped_class(s))
+    got = verify_block_c0(9, "relaxed", Caps())
+    assert (got.samples, got.witness) != (want.samples, want.witness)
+
+
+def test_union_classes_tile_the_subsets():
+    # every union in exactly one class, each class under its first union
+    for max_support in range(1, 11):
+        classes = _union_classes(max_support)
+        assert sum(size for size, _ in classes) == 2**max_support - 1
+        keys = [clipped_class(union, 1) for _, union in classes]
+        assert len(set(keys)) == len(keys)
+        firsts = {}
+        for union in nonempty_subsets(tuple(range(1, max_support + 1))):
+            firsts.setdefault(clipped_class(union, 1), union)
+        assert [union for _, union in classes] == list(firsts.values())
 
 
 @pytest.mark.parametrize("kind, a, b", [
     ("block", 9, "strict"), ("block", 9, "relaxed"), ("dm", 2, 9), ("dm", 3, 9),
 ], ids=["block-9-strict", "block-9-relaxed", "dm-2-9", "dm-3-9"])
 def test_pool_matches_cold_lp_in_family_order(kind, a, b):
-    # the seeds of a subset depend on the order the pool is queried in,
-    # so each verifier's own order is replayed
+    # the representative of each class, hence its seeds, depends on the
+    # order the pool is queried in, so each verifier's own order is replayed
     if kind == "block":
-        scan = _block_families(a, b)
+        scan = ((union, parts) for _, union in _union_classes(a) for parts in _blocks(union, b))
     else:
         scan = _disjoint_families(range(a, b + 1), a)
     pooled = dual01_pool(Caps())
     for union, parts in scan:
         for subset in (union, *parts):
             assert pooled(subset) == _cold01(subset), subset
-
-
-def test_pool_below_low_starts_from_the_unit_basis():
-    # no inverse is kept for sets whose first point is at most `low`, so
-    # the sets that reach below it are solved without a warm start
-    pooled = dual01_pool(Caps(), low=4)
-    for subset in nonempty_subsets(tuple(range(1, 8))):
-        assert pooled(subset) == _cold01(subset), subset
 
 
 def test_pool_memo_dies_with_the_pool():
@@ -205,9 +275,9 @@ def test_pool_memo_dies_with_the_pool():
     try:
         pooled = dual01_pool(Caps())
         pooled(tuple(range(1, 7)))
-        functional = weakref.ref(pooled.pooled[0])
+        alive = weakref.ref(pooled)
         del pooled
-        assert functional() is None
+        assert alive() is None
     finally:
         if enabled:
             gc.enable()
@@ -223,8 +293,8 @@ def test_infeasible_warm_start_is_refused():
 
 
 def test_warm_starts_keep_the_pivots_down(monkeypatch):
-    # the benchmark's block_c0 workload; seeded from the e_p basis
-    # instead, its 1,022 LPs take 5,180 pivots
+    # the benchmark's block_c0 workload; seeded but started from the e_p
+    # basis instead, its 92 class LPs take 612 pivots
     pivot = StandardFormSimplex._pivot
     count = 0
 
@@ -236,7 +306,7 @@ def test_warm_starts_keep_the_pivots_down(monkeypatch):
     monkeypatch.setattr(StandardFormSimplex, "_pivot", counted)
     verify_block_c0(9, "strict")
     verify_block_c0(9, "relaxed")
-    assert count < 2000
+    assert count <= 142
 
 
 def _product_and_reject(positions, n):
