@@ -17,39 +17,34 @@ simplex as the column 2^k f with cost 2^k.  Both the value and the
 witness come out exactly rational.
 
 Columns.  Every column is a norming functional: the starting basis e_p
-signed like x_p, each seed and each separation witness.  Each enters
-together with its negation, f first and then -f, so column 2i is the
-i-th functional entered and column 2i + 1 its negation: the e_p in the
-order of supp x, then the seeds, then the witnesses.  A functional f of
-depth k enters as the integer column 2^k f with cost 2^k.  The
-certificate is the basis columns as `Functional`s, in the form `seeds`
-takes them; the e_p and the negations are built as objects only there.
-
-Seeds.  Any functional of the norming set K supported in supp x is a
-valid column, and extra valid columns never move the optimum: the loop
-still stops only when the DP certifies the dual vector.  `seeds` enter
-right after the e_p, so a caller that knows good columns (a basis found
-for a smaller support: K is closed under restriction) saves rounds.
-Seeds change the pivots, hence possibly the witness and the
-certificate, never the value; with no seeds the run is the cold one.
+signed like x_p, each deeper functional of `start` and each separation
+witness.  Each enters together with its negation, f first and then -f,
+so column 2i is the i-th functional entered and column 2i + 1 its
+negation: the e_p in the order of supp x, then the start, then the
+witnesses.  A functional f of depth k enters as the integer column 2^k f
+with cost 2^k.  The certificate is the basis columns as `Functional`s,
+in the form `start` takes them; the e_p and the negations are built as
+objects only there.
 
 Warm start.  `start` replaces the e_p starting basis with a known
-feasible one, given like `LPResult.basis`: column indices in the order
-above and the integer inverse (N, d) of those columns.  It changes the
-pivots, never the value.
+feasible one: one norming functional supported in supp x per point, as
+`LPResult.certificate` gives them.  A depth-0 one, +-e_p, is the column
+of e_p or of its negation; each deeper one enters as a column.  The
+inverse is computed as for the cold start.  A warm start changes the
+pivots, never the value: the loop still stops only when the DP
+certifies the dual vector.
 
 The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, one LP
 per class of clipped positions min(s_i, |S| - i), on which the value
-depends alone.  Each LP is seeded with the basis functionals of the
-classes of the subsets S - {p} and started from the basis of the class
+depends alone.  Each LP starts from +e_{s_0} and the basis of the class
 of S minus its first point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from .caps import Caps, get_caps
 from .errors import InputError
@@ -66,21 +61,18 @@ class LPResult:
     value: Fraction
     witness: SparseVec  # optimal y with ||y||_T <= 1 and <x, y> = value
     certificate: tuple[Functional, ...]  # active constraints (LP basis)
-    # (column indices, (N, d)) of the certificate, as `start` takes it
-    basis: tuple = field(default=((), ((), 1)), compare=False, repr=False)
 
 
 def dual_norm(
     x: SparseVec,
     caps: Optional[Caps] = None,
-    seeds: Iterable[Functional] = (),
     *,
-    start: Optional[tuple] = None,
+    start: Sequence[Functional] = (),
 ) -> LPResult:
     """The dual norm of x with an optimal witness and the basis
-    functionals.  Each seed is a norming functional supported in supp x;
-    `start` is a feasible basis (indices, (N, d)) over the e_p and the
-    seeds."""
+    functionals.  `start` is a feasible basis of norming functionals
+    supported in supp x, one per point; without it the LP starts cold
+    from the e_p."""
     caps = caps or get_caps()
     if x and x.depth != 1:
         raise InputError("the dual norm is defined on depth-1 vectors")
@@ -109,12 +101,16 @@ def dual_norm(
 
     for i, sign in enumerate(signs):
         enter([sign if r == i else 0 for r in range(n)], 1)
-    for f in seeds:
-        add(f)
-    if start is None:
-        sx.set_basis(list(range(0, 2 * n, 2)))
-    else:
-        sx.set_basis(*start)
+    basis = [] if start else list(range(0, 2 * n, 2))
+    for f in start:
+        if f.depth:
+            basis.append(2 * (n + len(columns)))
+            add(f)
+        else:
+            ((p, c),) = f.scaled_terms
+            i = row_of[p]
+            basis.append(2 * i + (c != signs[i]))
+    sx.set_basis(basis)
 
     for _ in range(MAX_ROUNDS):
         value = sx.solve()
@@ -138,9 +134,7 @@ def dual_norm(
             f = columns[i - n]
         return -f if j & 1 else f
 
-    certificate = tuple(map(functional, sx.basis))
-    inverse = (tuple(map(tuple, sx.binv)), sx.d)
-    return LPResult(value, y, certificate, (tuple(sx.basis), inverse))
+    return LPResult(value, y, tuple(map(functional, sx.basis)))
 
 
 def clipped_class(subset: tuple, slack: int = 0) -> tuple:
@@ -166,31 +160,17 @@ def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
     S -> S' maps K restricted to S onto K restricted to S', term by term
     with the same coefficients.  The LP of 1_S and the LP of 1_S' are
     then the same program in the point indices 0..m-1, and ||1_S|| =
-    ||1_S'||.  The memo keeps functionals in that form: (depth, terms,
-    negated), terms the (index, 2^depth coefficient) pairs signed so
-    that the first coefficient is positive.  The depth-0 functionals
-    are the columns +-e_i that every LP enters first.
+    ||1_S'||.  The memo keeps the optimal basis in that form: (depth,
+    terms), terms the (index, 2^depth coefficient) pairs.
 
-    Sub-classes are functions of the class.  Dropping s_k keeps s_i at
-    index i for i < k, clipped by m - 1 - i, and moves s_i to index
-    i - 1 for i > k, clipped by (m - 1) - (i - 1) = m - i; so
-    c(S - {s_k}) = (min(c_0, m - 1), ..., min(c_{k-1}, m - k), c_{k+1},
-    ..., c_{m-1}), and in particular c(S[1:]) = c[1:].  Each LP is
-    solved on the first set asked for in its class.
-
-    Seeds.  The LP of S is seeded with the basis functionals of each
-    S - {s_k}, solved first through the same memo, their indices i >= k
-    moved to i + 1.  They are in K by the fact above and supported in
-    S, so they are valid columns; they leave the value as it is and save
-    most of the rounds.  Seeds go in the order of k and then of the
-    basis, each once.
-
-    Warm start.  The LP of S then starts from the optimal basis of the
-    class of rest = S[1:], its indices moved up by one, plus +e_0.  It
-    is feasible for S: its basic solution is the one of rest with 1 on
-    index 0.  Its integer inverse is the one of rest with a zero row and
-    column for index 0 and the determinant d of rest on their diagonal,
-    so the memo keeps (N, d) with each class."""
+    Warm start.  Dropping s_0 moves s_i to index i - 1, clipped by
+    (m - 1) - (i - 1) = m - i, so c(S[1:]) = c[1:] and the class of
+    rest = S[1:] is a function of the class of S.  The LP of S starts
+    from +e_0 and the optimal basis of the class of rest, its indices
+    moved up by one; the functionals are in K and supported in S by the
+    fact above.  The start is feasible for S: its basic solution is the
+    one of rest with 1 on index 0.  Each LP is solved on the first set
+    asked for in its class."""
     return _Dual01Pool(caps)
 
 
@@ -201,59 +181,29 @@ class _Dual01Pool:
 
     def __init__(self, caps: Caps):
         self.caps = caps
-        self.memo: dict[tuple, tuple] = {}  # class -> (value, basis, (N, d))
+        self.memo: dict[tuple, tuple] = {}  # class -> (value, basis)
 
     def __call__(self, subset: tuple) -> Fraction:
         return self.solve(subset)[0]
 
-    def solve(self, subset: tuple) -> tuple[Fraction, tuple[tuple, ...], tuple]:
+    def solve(self, subset: tuple) -> tuple[Fraction, tuple[tuple, ...]]:
         key = clipped_class(subset)
         entry = self.memo.get(key)
         if entry is not None:
             return entry
-        n = len(subset)
-        seeds: dict[tuple, int] = {}  # (depth, terms) -> seed number
-        rest = None  # the entry of S[1:], solved first, at k = 0
-        for k in range(n if n > 1 else 0):
-            sub = self.solve(subset[:k] + subset[k + 1:])
-            rest = rest or sub
-            for depth, terms, _ in sub[1]:
-                if depth:
-                    seeds.setdefault((depth, tuple((i + (i >= k), c) for i, c in terms)), len(seeds))
-        start = None
-        if n > 1:
-            _, rest_basis, (rows, d) = rest
-            indices = [0]
-            for depth, terms, negated in rest_basis:
-                if depth:
-                    j = n + seeds[(depth, tuple((i + 1, c) for i, c in terms))]
-                else:
-                    j = terms[0][0] + 1
-                indices.append(2 * j + negated)
-            head = (d,) + (0,) * len(rows)
-            start = (indices, ((head, *((0, *row) for row in rows)), d))
+        start = []
+        if len(subset) > 1:
+            start.append(Functional(SparseVec._clean({(subset[0],): ONE}, 1), 0))
+            for depth, terms in self.solve(subset[1:])[1]:
+                coefficients = {(subset[i + 1],): Fraction(c, 1 << depth) for i, c in terms}
+                start.append(Functional(SparseVec._clean(coefficients, 1), depth))
         # the module global, so that a wrapper set on dual.dual_norm sees every LP
-        result = dual_norm(
-            SparseVec({(p,): ONE for p in subset}),
-            self.caps,
-            [
-                Functional(
-                    SparseVec._clean({(subset[i],): Fraction(c, 1 << depth) for i, c in terms}, 1),
-                    depth,
-                )
-                for depth, terms in seeds
-            ],
-            start=start,
-        )
+        result = dual_norm(SparseVec({(p,): ONE for p in subset}), self.caps, start=start)
         index = {p: i for i, p in enumerate(subset)}
-        basis = []
-        for f in result.certificate:
-            terms = sorted((index[p], c) for p, c in f.scaled_terms)
-            negated = terms[0][1] < 0
-            if negated:
-                terms = [(i, -c) for i, c in terms]
-            basis.append((f.depth, tuple(terms), negated))
-        entry = self.memo[key] = (result.value, tuple(basis), result.basis[1])
+        basis = tuple(
+            (f.depth, tuple((index[p], c) for p, c in f.scaled_terms)) for f in result.certificate
+        )
+        entry = self.memo[key] = (result.value, basis)
         return entry
 
 

@@ -76,20 +76,14 @@ class StandardFormSimplex:
         self.costs.append(cost)
         return len(self.cols) - 1
 
-    def set_basis(self, indices: list[int], inverse=None) -> None:
+    def set_basis(self, indices: list[int]) -> None:
         """Install a starting basis; its columns must be invertible and
-        the implied basic solution nonnegative.  `inverse` is an (N, d)
-        already known for these columns, in the order of `indices`: N
-        the adjugate and d > 0 the determinant of the integer basis
-        matrix, signed together.  Without it, the pair is computed."""
+        the implied basic solution nonnegative."""
         if len(indices) != self.m:
             raise SimplexError("basis size must equal the row count")
         self.basis = list(indices)
-        if inverse is None:
-            rows = [[self.cols[j][i] for j in indices] for i in range(self.m)]
-            inverse = _integer_inverse(rows)
-        binv, self.d = inverse
-        self.binv = list(binv)  # rows are replaced, never changed in place
+        rows = [[self.cols[j][i] for j in indices] for i in range(self.m)]
+        self.binv, self.d = _integer_inverse(rows)
         self.xb = [sum(map(mul, row, self.b)) for row in self.binv]
         costs = [self.costs[j] for j in indices]
         self.z = [sum(map(mul, costs, column)) for column in zip(*self.binv)]

@@ -28,6 +28,10 @@ from .vectors import SparseVec, parse_rational
 # p = None encodes infinity throughout this module.
 PValue = Optional[Fraction]
 
+# Sums nested in one space; the parser and the norm recursion take a few
+# stack frames per sum, and this keeps them far from Python's limit.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class FGauge:
@@ -145,6 +149,8 @@ class Sum:
     def __post_init__(self):
         if isinstance(self.outer, Sum):
             raise InputError("the outer space of a sum must be a depth-1 space")
+        if space_depth(self) - 1 > MAX_NESTING:
+            raise InputError(f"sums nested deeper than {MAX_NESTING}")
 
     def inner_at(self, k: int) -> "SpaceExpr":
         if isinstance(self.inner, Repeat):
@@ -167,6 +173,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.sums = 0  # sums nest in a chain, so this is their nesting
 
     def error(self, message: str):
         raise ParseError(message, self.pos)
@@ -256,6 +263,9 @@ class _Parser:
             self.expect(")")
             return Schlumprecht(get_gauge(name))
         if head == "sum":
+            self.sums += 1
+            if self.sums > MAX_NESTING:
+                self.error(f"sums nested deeper than {MAX_NESTING}")
             self.expect("(")
             outer = self.expr()
             self.expect(",")

@@ -209,6 +209,9 @@ class TestExitCodes:
         # leading NAME=value words set the environment, as in a shell
         ["BANACHLAB_CAPS=dual=0", "verify", "block-c0", "--max-support", "3"],
         ["BANACHLAB_CAPS=dual=-1", "dual-norm", "--vec", "1:1"],
+        # sums nested past the limit, parsed and built in code (400 levels)
+        ["parse", "--space", "sum(T,repeat(" * 499 + "T" + "))" * 499],
+        ["distortion", "--embedding", "xpq:p=2,q=1,k=200", "--n", "201"],
     ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))

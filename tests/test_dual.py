@@ -10,7 +10,7 @@ import pytest
 from banachlab.caps import Caps
 from banachlab.dual import dual_norm, verify_duality
 from banachlab.errors import CapExceeded, InputError
-from banachlab.norms import tsirelson_norm
+from banachlab.norms import Functional, tsirelson_norm
 from banachlab.oracles import decomposition_weight, dual_norm_reference
 from banachlab.vectors import SparseVec, format_vector, inner_product, parse_vector, restrict, unit
 
@@ -336,12 +336,12 @@ class TestColdRunPinned:
         assert format_vector(result.witness) == witness
         assert [(format_vector(f.coefficients), f.depth) for f in result.certificate] == certificate
 
-    def test_seeds_keep_the_value(self):
-        # every basis functional of a one-point-smaller subset, as a seed
+    def test_start_keeps_the_value(self):
+        # +e_4 and the optimal basis of 4 < ... < 11 minus its first point
         x = ones(range(4, 12))
-        seeds = [
-            f
-            for q in range(4, 12)
-            for f in dual_norm(ones(p for p in range(4, 12) if p != q)).certificate
-        ]
-        assert dual_norm(x, seeds=seeds).value == dual_norm(x).value == F(32, 11)
+        start = [Functional(unit((4,)), 0), *dual_norm(ones(range(5, 12))).certificate]
+        assert dual_norm(x, start=start).value == dual_norm(x).value == F(32, 11)
+
+    def test_start_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            dual_norm(ones(range(1, 3)), Caps(), [Functional(unit((1,)), 0)])

@@ -16,10 +16,10 @@ from banachlab import dual, verifiers
 from banachlab.caps import Caps
 from banachlab.dual import clipped_class, dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
-from banachlab.norms import NormEngine, chunkings, nonempty_subsets
-from banachlab.simplex import SimplexError, StandardFormSimplex, _integer_inverse
+from banachlab.norms import Functional, NormEngine, chunkings, nonempty_subsets
+from banachlab.simplex import SimplexError, StandardFormSimplex
 from banachlab.spaces import parse_space
-from banachlab.vectors import SparseVec
+from banachlab.vectors import SparseVec, unit
 from banachlab.verifiers import (
     _blocks,
     _disjoint_families,
@@ -165,7 +165,7 @@ def test_pinned_report_at_the_frontier(kind, args, expected):
 
 @cache
 def _cold01(subset):
-    """||1_subset|| in the dual norm from an unseeded LP."""
+    """||1_subset|| in the dual norm from a cold LP."""
     return dual_norm(SparseVec({(p,): F(1) for p in subset})).value
 
 
@@ -255,8 +255,8 @@ def test_union_classes_tile_the_subsets():
     ("block", 9, "strict"), ("block", 9, "relaxed"), ("dm", 2, 9), ("dm", 3, 9),
 ], ids=["block-9-strict", "block-9-relaxed", "dm-2-9", "dm-3-9"])
 def test_pool_matches_cold_lp_in_family_order(kind, a, b):
-    # the representative of each class, hence its seeds, depends on the
-    # order the pool is queried in, so each verifier's own order is replayed
+    # the representative of each class, hence its warm start, depends on
+    # the order the pool is queried in, so each verifier's own order is replayed
     if kind == "block":
         scan = ((union, parts) for _, union in _union_classes(a) for parts in _blocks(union, b))
     else:
@@ -284,29 +284,31 @@ def test_pool_memo_dies_with_the_pool():
 
 
 def test_infeasible_warm_start_is_refused():
-    # columns 0-3 are e_1, -e_1, e_2, -e_2; the basis (-e_1, e_2) has the
-    # basic solution (-1, 1) for x = e_1 + e_2
-    inverse = _integer_inverse([[-1, 0], [0, 1]])
-    assert inverse == ([[-1, 0], [0, 1]], 1)
+    # the basis (-e_1, e_2) has the basic solution (-1, 1) for x = e_1 + e_2
+    start = (-Functional(unit((1,)), 0), Functional(unit((2,)), 0))
     with pytest.raises(SimplexError, match="starting basis is infeasible"):
-        dual_norm(SparseVec({(1,): F(1), (2,): F(1)}), start=([1, 2], inverse))
+        dual_norm(SparseVec({(1,): F(1), (2,): F(1)}), start=start)
 
 
 def test_warm_starts_keep_the_pivots_down(monkeypatch):
-    # the benchmark's block_c0 workload; seeded but started from the e_p
-    # basis instead, its 92 class LPs take 612 pivots
-    pivot = StandardFormSimplex._pivot
-    count = 0
+    # the benchmark's block_c0 workload: its 92 class LPs take 612 pivots
+    # started from the e_p basis; the warm starts trade pivots for rounds
+    counts = {"_pivot": 0, "solve": 0}  # pivots and LP rounds
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return pivot(*args)
+    def counting(name):
+        method = getattr(StandardFormSimplex, name)
 
-    monkeypatch.setattr(StandardFormSimplex, "_pivot", counted)
+        def counted(*args):
+            counts[name] += 1
+            return method(*args)
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(StandardFormSimplex, name, counting(name))
     verify_block_c0(9, "strict")
     verify_block_c0(9, "relaxed")
-    assert count <= 142
+    assert counts["_pivot"] <= 106 and counts["solve"] <= 192
 
 
 def _product_and_reject(positions, n):

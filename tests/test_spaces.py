@@ -6,6 +6,7 @@ import pytest
 
 from banachlab.errors import InputError, ParseError
 from banachlab.spaces import (
+    MAX_NESTING,
     Indexed,
     Lp,
     LpN,
@@ -124,6 +125,22 @@ class TestDepthAndValidation:
 
     def test_zero_vector_always_valid(self):
         validate_vector(parse_space("T"), parse_vector("0"))
+
+    def test_nesting_is_capped_in_the_parser_and_in_code(self):
+        def text(n):
+            return "sum(T,repeat(" * n + "T" + "))" * n
+
+        assert space_depth(parse_space(text(MAX_NESTING))) == MAX_NESTING + 1
+        for n in (MAX_NESTING + 1, 499):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_space(text(n))
+        # the template's sums count with the ones around it
+        template = "sum(lpn(1,#),repeat(" + text(MAX_NESTING - 1) + "))"
+        with pytest.raises(InputError, match="nested deeper"):
+            parse_space(f"sum(T,indexed({template}))")
+        space = parse_space(text(MAX_NESTING))
+        with pytest.raises(InputError, match="nested deeper"):
+            Sum(Tsirelson(), Repeat(space))
 
 
 class TestGauges:
