@@ -101,6 +101,8 @@ def cmd_dual_norm(args) -> int:
 
 
 def cmd_metric(args) -> int:
+    if args.k < 1:
+        raise InputError(f"k must be >= 1, got {args.k}")
     a = parse_ksubset(args.a)
     b = parse_ksubset(args.b)
     if len(a) != args.k or len(b) != args.k:

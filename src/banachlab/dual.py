@@ -35,9 +35,8 @@ pivots, never the value: the loop still stops only when the DP
 certifies the dual vector.
 
 The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, one LP
-per class of clipped positions min(s_i, |S| - i), on which the value
-depends alone.  Each LP starts from +e_{s_0} and the basis of the class
-of S minus its first point.
+per class of clipped positions min(s_i, |S| - i), run on the canonical
+position set of the class and warm-started from a smaller class.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from .caps import Caps, get_caps
 from .errors import InputError
 from .norms import Functional, NormEngine, tsirelson_norm_witness
 from .simplex import SimplexError, StandardFormSimplex
-from .vectors import SparseVec, inner_product
+from .vectors import SparseVec, inner_product, unit
 
 ONE = Fraction(1)
 MAX_ROUNDS = 100000  # column-generation rounds of one LP
@@ -137,18 +136,18 @@ def dual_norm(
     return LPResult(value, y, tuple(map(functional, sx.basis)))
 
 
-def clipped_class(subset: tuple, slack: int = 0) -> tuple:
-    """The clipped positions min(s_i, |S| - i + slack) of a sorted
-    position tuple S = (s_0, ..., s_{m-1}): with slack 0 the class of
-    ||1_S|| in `dual01_pool`, with slack 1 the union class of the
-    block-family scans in `verifiers`."""
-    top = len(subset) + slack
-    return tuple(min(p, top - i) for i, p in enumerate(subset))
+def canonical_positions(subset: tuple, caps: Caps) -> tuple:
+    """The canonical position set rep(S) of the class of a sorted
+    position tuple S = (s_0, ..., s_{m-1}) in `dual01_pool`: s_i where
+    s_i < m - i, and 2 caps.dual - (m - 1 - i) otherwise."""
+    m = len(subset)
+    caps.check("dual", m)  # past it rep(S) need not increase
+    return tuple(p if p < m - i else 2 * caps.dual - (m - 1 - i) for i, p in enumerate(subset))
 
 
 def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
     """||1_S|| in the dual norm for sorted position tuples S, one LP per
-    class c(S) = `clipped_class(S)`, c_i = min(s_i, m - i), m = |S|.
+    class c(S), c_i = min(s_i, m - i), m = |S|.
 
     Functionals move between the sets of one class.  A functional of the
     norming set K supported in S is +-e_p or 1/2 (f_1 + ... + f_n) with
@@ -159,18 +158,19 @@ def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
     the functional, so for S' with c(S') = c(S) the order isomorphism
     S -> S' maps K restricted to S onto K restricted to S', term by term
     with the same coefficients.  The LP of 1_S and the LP of 1_S' are
-    then the same program in the point indices 0..m-1, and ||1_S|| =
-    ||1_S'||.  The memo keeps the optimal basis in that form: (depth,
-    terms), terms the (index, 2^depth coefficient) pairs.
+    then the same program up to that map, and ||1_S|| = ||1_S'||.
 
-    Warm start.  Dropping s_0 moves s_i to index i - 1, clipped by
-    (m - 1) - (i - 1) = m - i, so c(S[1:]) = c[1:] and the class of
-    rest = S[1:] is a function of the class of S.  The LP of S starts
-    from +e_0 and the optimal basis of the class of rest, its indices
-    moved up by one; the functionals are in K and supported in S by the
-    fact above.  The start is feasible for S: its basic solution is the
-    one of rest with 1 on index 0.  Each LP is solved on the first set
-    asked for in its class."""
+    Canonical positions.  For m <= caps.dual, R = rep(S) =
+    `canonical_positions(S, caps)` (a) increases strictly up to
+    2 caps.dual: the s_i < m - i form a prefix (s_i increases, m - i
+    decreases) below m, and the other r_i exceed caps.dual >= m; (b) lies
+    in the class of S, as those r_i are >= m - i; (c) has R[1:] =
+    rep(S[1:]): dropping s_0 moves s_i to index i - 1 of m - 1 points,
+    with the same bound m - i and the same r_i.  The memo is keyed by R,
+    so each class is solved once, on R, in any query order.  Its LP
+    starts from +e_{r_0} and the stored certificate of R[1:], which are
+    functionals of K supported in R; the basic solution of that start is
+    the one of R[1:] with 1 on r_0, so it is feasible."""
     return _Dual01Pool(caps)
 
 
@@ -181,30 +181,19 @@ class _Dual01Pool:
 
     def __init__(self, caps: Caps):
         self.caps = caps
-        self.memo: dict[tuple, tuple] = {}  # class -> (value, basis)
+        self.memo: dict[tuple, LPResult] = {}  # canonical positions -> LP result
 
     def __call__(self, subset: tuple) -> Fraction:
-        return self.solve(subset)[0]
+        return self.solve(canonical_positions(subset, self.caps)).value
 
-    def solve(self, subset: tuple) -> tuple[Fraction, tuple[tuple, ...]]:
-        key = clipped_class(subset)
-        entry = self.memo.get(key)
-        if entry is not None:
-            return entry
-        start = []
-        if len(subset) > 1:
-            start.append(Functional(SparseVec._clean({(subset[0],): ONE}, 1), 0))
-            for depth, terms in self.solve(subset[1:])[1]:
-                coefficients = {(subset[i + 1],): Fraction(c, 1 << depth) for i, c in terms}
-                start.append(Functional(SparseVec._clean(coefficients, 1), depth))
-        # the module global, so that a wrapper set on dual.dual_norm sees every LP
-        result = dual_norm(SparseVec({(p,): ONE for p in subset}), self.caps, start=start)
-        index = {p: i for i, p in enumerate(subset)}
-        basis = tuple(
-            (f.depth, tuple((index[p], c) for p, c in f.scaled_terms)) for f in result.certificate
-        )
-        entry = self.memo[key] = (result.value, basis)
-        return entry
+    def solve(self, positions: tuple) -> LPResult:
+        if positions not in self.memo:
+            rest = self.solve(positions[1:]).certificate if len(positions) > 1 else None
+            start = (Functional(unit(positions[0]), 0), *rest) if rest else ()
+            # the module global, so that a wrapper set on dual.dual_norm sees every LP
+            x = SparseVec({(p,): ONE for p in positions})
+            self.memo[positions] = dual_norm(x, self.caps, start=start)
+        return self.memo[positions]
 
 
 def verify_duality(x: SparseVec, y: SparseVec, caps: Optional[Caps] = None) -> bool:

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
-from .dual import clipped_class, dual01_pool
+from .dual import dual01_pool
 from .embeddings import ell_infty_equivalence, max_sign_sum
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .norms import NormEngine, chunkings, modified_norm, nonempty_subsets, tsirelson_norm
 from .report import VerifierReport
 from .spaces import Repeat, SpaceExpr, Sum, TsirelsonDual, space_depth
@@ -30,6 +30,9 @@ ONE = Fraction(1)
 DEFAULT_SEED = 1729
 RANDOM_MAX_SIZE = 6  # support size cap of the random vectors in `estimate_cm`
 BAND_WIDTH = 2  # columns per block in the seeded grid instances
+# most grid vectors (k^(k+1) per sample) one hat or c0-subseq run may
+# build, at about 1 ms each: 0.56 s per hat instance at k = 4, 10 s at 5
+VECTOR_BUDGET = 10**4
 
 
 def tt_space() -> SpaceExpr:
@@ -40,6 +43,19 @@ def tt_space() -> SpaceExpr:
 def _require_positive(name: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{name} must be >= 1, got {value}")
+
+
+def _check_sampled(k: int, samples: int) -> None:
+    """Check the sizes of a sampled hat or c0-subseq run and refuse it past
+    the vector budget before building any instance (k^(k+1) is formed
+    only while it is within the budget)."""
+    _require_positive("k", k)
+    _require_positive("samples", samples)
+    vectors = samples
+    for _ in range(k + 1):
+        vectors *= k
+        if vectors > VECTOR_BUDGET:
+            raise CapExceeded(f"vector budget exceeded: {samples} x {k}^{k + 1} > {VECTOR_BUDGET}")
 
 
 # -- block inequalities in the dual norm --------------------------------
@@ -82,13 +98,18 @@ def _max_family_ratio(groups: Iterable[tuple], caps: Caps):
     return Fraction(best_num, best_den), witness, count
 
 
+def _union_class(union: tuple) -> tuple:
+    """min(u_i, |U| - i + 1), one point looser than the `dual01_pool` classes."""
+    return tuple(min(p, len(union) + 1 - i) for i, p in enumerate(union))
+
+
 def _union_classes(max_support: int) -> Iterable[list]:
-    """[class size, first union] for each union class
-    `clipped_class(U, 1)` of the nonempty U in [1, max_support], in the
-    `nonempty_subsets` order of the first unions."""
+    """[class size, first union] for each `_union_class` of the nonempty
+    U in [1, max_support], in the `nonempty_subsets` order of the first
+    unions."""
     classes: dict[tuple, list] = {}
     for union in nonempty_subsets(tuple(range(1, max_support + 1))):
-        classes.setdefault(clipped_class(union, 1), [0, union])[0] += 1
+        classes.setdefault(_union_class(union), [0, union])[0] += 1
     return classes.values()
 
 
@@ -559,8 +580,7 @@ def hat_sampled_report(
     merge the outcomes; every instance must select successfully and pass
     the proximity and sign-sum assertions."""
     caps = caps or get_caps()
-    _require_positive("k", k)
-    _require_positive("samples", samples)
+    _check_sampled(k, samples)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
@@ -595,8 +615,7 @@ def c0_sampled_report(
 ) -> VerifierReport:
     """Seeded-instance harness for the block subsequence selection."""
     caps = caps or get_caps()
-    _require_positive("k", k)
-    _require_positive("samples", samples)
+    _check_sampled(k, samples)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
@@ -635,6 +654,8 @@ def spreading_witness(
     `shift` components along the space: an upper-bound witness for the
     spreading-model constant, never a proof of the limit statement."""
     caps = caps or get_caps()
+    if shift < 0:
+        raise InputError(f"shift must be >= 0, got {shift}")
     blocks = _named_blocks(space, block_gen, k, shift, caps)
     return ell_infty_equivalence(blocks, space, caps)
 

@@ -212,19 +212,45 @@ class TestExitCodes:
         # sums nested past the limit, parsed and built in code (400 levels)
         ["parse", "--space", "sum(T,repeat(" * 499 + "T" + "))" * 499],
         ["distortion", "--embedding", "xpq:p=2,q=1,k=200", "--n", "201"],
+        # the first leading index would be shift + 1 < 1
+        ["verify", "spreading", "--shift", "-5"],
+        ["verify", "spreading", "--blocks", "doubleton", "--shift", "-1"],
+        ["metric", "--k", "0", "--a", "1", "--b", "2"],
+        ["metric", "--k", "-1", "--a", "1", "--b", "2"],
     ]
+    # refused for their cost, with exit 3 and one `refused:` line: more
+    # than 10^4 grid vectors, k^(k+1) per sample
+    REFUSED_INPUTS = [
+        ["verify", "hat", "--k", "5"],
+        ["verify", "c0-subseq", "--k", "5"],
+        ["verify", "hat", "--k", "4"],
+        ["verify", "c0-subseq", "--k", "4"],
+        ["verify", "hat", "--k", "4", "--samples", "10"],
+        ["verify", "hat", "--k", "1", "--samples", "10001"],
+        ["verify", "c0-subseq", "--k", str(10**9)],
+    ]
+    BAD_INPUTS += REFUSED_INPUTS
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
     def test_bad_input_is_one_error_line(self, argv, capsys, monkeypatch):
+        refused = argv in self.REFUSED_INPUTS
         while "=" in argv[0]:
             name, _, value = argv[0].partition("=")
             monkeypatch.setenv(name, value)
             argv = argv[1:]
         code, out, err = run_cli(argv, capsys)
-        assert code == 2
+        assert code == (3 if refused else 2)
         assert out == ""
         assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("refused: " if refused else "error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "spreading", "--shift", "-5"], "shift must be >= 0, got -5"),
+        (["metric", "--k", "0", "--a", "1", "--b", "2"], "k must be >= 1, got 0"),
+    ])
+    def test_bad_size_is_named_as_given(self, argv, message, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (2, f"error: {message}\n")
 
     def test_zero_samples_still_checks_every_01_vector(self, capsys):
         code, out, _ = run_cli(

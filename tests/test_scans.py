@@ -14,8 +14,9 @@ import pytest
 
 from banachlab import dual, verifiers
 from banachlab.caps import Caps
-from banachlab.dual import clipped_class, dual01_pool, dual_norm
+from banachlab.dual import canonical_positions, dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
+from banachlab.errors import CapExceeded
 from banachlab.norms import Functional, NormEngine, chunkings, nonempty_subsets
 from banachlab.simplex import SimplexError, StandardFormSimplex
 from banachlab.spaces import parse_space
@@ -23,6 +24,7 @@ from banachlab.vectors import SparseVec, unit
 from banachlab.verifiers import (
     _blocks,
     _disjoint_families,
+    _union_class,
     _union_classes,
     c0_sampled_report,
     estimate_dm,
@@ -178,6 +180,32 @@ def test_pool_matches_cold_lp_on_every_subset():
         assert pooled(subset) == _cold01(subset), subset
 
 
+@pytest.mark.parametrize("dual_cap", [12, 16])
+def test_canonical_positions_represent_their_class(dual_cap):
+    caps = Caps(dual=dual_cap)
+    subsets = list(nonempty_subsets(tuple(range(1, 13))))
+    for subset in subsets:
+        rep = canonical_positions(subset, caps)
+        m = len(subset)
+        assert all(a < b for a, b in zip(rep, rep[1:])), subset
+        assert [min(p, m - i) for i, p in enumerate(rep)] == [
+            min(p, m - i) for i, p in enumerate(subset)
+        ], subset
+        assert rep[1:] == canonical_positions(subset[1:], caps), subset
+        assert max(rep) <= 2 * dual_cap, subset
+    with pytest.raises(CapExceeded):  # past the cap rep(S) need not increase
+        canonical_positions(tuple(range(1, dual_cap + 2)), caps)
+    # each class LP runs on its canonical set from the same start, so the
+    # memo does not depend on the order of the queries
+    memos = []
+    for order in (subsets, subsets[::-1]):
+        pooled = dual01_pool(caps)
+        for subset in order:
+            pooled(subset)
+        memos.append({key: (r.value, r.certificate) for key, r in pooled.memo.items()})
+    assert memos[0] == memos[1]
+
+
 def _class_mismatches(clip):
     """Subsets of [1, 10] whose cold value differs from the cold value
     of the first subset with the same `clip` key."""
@@ -186,20 +214,31 @@ def _class_mismatches(clip):
 
 
 def test_cold_value_is_constant_on_each_class():
-    assert _class_mismatches(clipped_class) == 0
+    assert _class_mismatches(lambda s: canonical_positions(s, Caps())) == 0
+
+
+def _coarser(bound):
+    """`canonical_positions` with the clip threshold m - i lowered to
+    bound(m, i)."""
+    def rep(subset, caps):
+        m = len(subset)
+        return tuple(
+            p if p < bound(m, i) else 2 * caps.dual - (m - 1 - i) for i, p in enumerate(subset)
+        )
+    return rep
 
 
 # clips one point too coarse: classes that merge sets of different norms
 COARSER_CLIPS = {
-    "m-i-1": lambda s: tuple(min(p, len(s) - i - 1) for i, p in enumerate(s)),
-    "m-1": lambda s: tuple(min(p, len(s) - 1) for p in s),
+    "m-i-1": _coarser(lambda m, i: m - i - 1),
+    "m-1": _coarser(lambda m, i: m - 1),
 }
 
 
 @pytest.mark.parametrize("clip", COARSER_CLIPS.values(), ids=COARSER_CLIPS.keys())
 def test_coarser_clips_break_class_constancy(clip, monkeypatch):
-    assert _class_mismatches(clip) > 0
-    monkeypatch.setattr(dual, "clipped_class", clip)
+    assert _class_mismatches(lambda s: clip(s, Caps())) > 0
+    monkeypatch.setattr(dual, "canonical_positions", clip)
     pooled = dual01_pool(Caps())
     assert any(pooled(subset) != _cold01(subset) for subset in SUBSETS_10)
 
@@ -233,7 +272,9 @@ def test_union_clip_needs_its_slack(monkeypatch):
     # relaxed admissibility n <= u_k can bind up to n = |U| - k + 1, one
     # past the clip of the 0/1 classes, which merges unions it tells apart
     want = verify_block_c0(9, "relaxed", Caps())
-    monkeypatch.setattr(verifiers, "clipped_class", lambda s, slack=0: clipped_class(s))
+    monkeypatch.setattr(
+        verifiers, "_union_class", lambda s: tuple(min(p, len(s) - i) for i, p in enumerate(s))
+    )
     got = verify_block_c0(9, "relaxed", Caps())
     assert (got.samples, got.witness) != (want.samples, want.witness)
 
@@ -243,11 +284,11 @@ def test_union_classes_tile_the_subsets():
     for max_support in range(1, 11):
         classes = _union_classes(max_support)
         assert sum(size for size, _ in classes) == 2**max_support - 1
-        keys = [clipped_class(union, 1) for _, union in classes]
+        keys = [_union_class(union) for _, union in classes]
         assert len(set(keys)) == len(keys)
         firsts = {}
         for union in nonempty_subsets(tuple(range(1, max_support + 1))):
-            firsts.setdefault(clipped_class(union, 1), union)
+            firsts.setdefault(_union_class(union), union)
         assert [union for _, union in classes] == list(firsts.values())
 
 
@@ -255,8 +296,8 @@ def test_union_classes_tile_the_subsets():
     ("block", 9, "strict"), ("block", 9, "relaxed"), ("dm", 2, 9), ("dm", 3, 9),
 ], ids=["block-9-strict", "block-9-relaxed", "dm-2-9", "dm-3-9"])
 def test_pool_matches_cold_lp_in_family_order(kind, a, b):
-    # the representative of each class, hence its warm start, depends on
-    # the order the pool is queried in, so each verifier's own order is replayed
+    # each verifier's own order of queries is replayed, the order in
+    # which its scan reaches each class LP
     if kind == "block":
         scan = ((union, parts) for _, union in _union_classes(a) for parts in _blocks(union, b))
     else:

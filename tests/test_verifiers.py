@@ -1,11 +1,13 @@
 """Inequality verifiers: block bounds, constant estimators, the grid
 pigeonhole, and spreading witnesses."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from banachlab import verifiers
 from banachlab.caps import Caps
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
@@ -13,6 +15,7 @@ from banachlab.norms import NormEngine
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, parse_vector, unit
 from banachlab.verifiers import (
+    _check_sampled,
     c0_sampled_report,
     estimate_cm,
     estimate_dm,
@@ -222,6 +225,25 @@ class TestSelectC0:
         b = c0_sampled_report(2, samples=3, seed=7)
         assert a.to_json() == b.to_json()
         assert a.passed == "reported"
+
+
+class TestVectorBudget:
+    @pytest.mark.parametrize(
+        "report, instance",
+        [(hat_sampled_report, "random_hat_instance"), (c0_sampled_report, "random_c0_instance")],
+    )
+    def test_default_samples_fit_up_to_k3(self, report, instance, monkeypatch):
+        samples = inspect.signature(report).parameters["samples"].default
+        for k in (1, 2, 3):
+            _check_sampled(k, samples)
+
+        def build(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr(verifiers, instance, build)
+        for k, n in [(4, samples), (5, 1), (1, 10**4 + 1), (10**9, 1)]:
+            with pytest.raises(CapExceeded, match="vector budget exceeded"):
+                report(k, samples=n)
 
 
 class TestSpreading:
