@@ -26,7 +26,7 @@ from .embeddings import (
     distortion_report,
 )
 from .errors import BanachLabError, CapExceeded, InputError
-from .hamming import HammingSpace, hamming_distance, johnson_distance, parse_ksubset
+from .hamming import HammingSpace, metric_distance, parse_ksubset
 from .norms import NormEngine
 from .oracles import brute_force_tsirelson
 from .report import encode_value
@@ -66,9 +66,7 @@ def _print_norm(value) -> None:
 
 
 def _print_plain(value) -> None:
-    if isinstance(value, Fraction):
-        print(value)
-    elif isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         print(value)
     else:
         print(_decimal(value))
@@ -107,13 +105,8 @@ def cmd_metric(args) -> int:
     b = parse_ksubset(args.b)
     if len(a) != args.k or len(b) != args.k:
         raise InputError(f"tuples must have k = {args.k} entries")
-    if args.kind == "hamming":
-        _print_plain(hamming_distance(a, b))
-    elif args.kind == "johnson":
-        _print_plain(johnson_distance(a, b))
-    else:
-        space = parse_space(args.space)
-        _print_plain(HammingSpace(args.k, space, get_caps()).distance(a, b))
+    space = parse_space(args.space) if args.kind == "d_e" else None
+    _print_plain(metric_distance(args.kind, args.k, space, get_caps())(a, b))
     return 0
 
 
@@ -240,37 +233,50 @@ def cmd_distortion(args) -> int:
     return 0
 
 
+# The argparse settings of every `verify` option, with its CLI default.
+VERIFY_OPTIONS = {
+    "max_support": dict(type=int, default=10),
+    "variant": dict(choices=["strict", "relaxed"], default="strict"),
+    "n": dict(type=int, default=2),
+    "k": dict(type=int, default=2),
+    "cuts": dict(default="2,4,8"),
+    "samples": dict(type=int, default=None),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "ceiling": dict(type=int, default=12),
+    "shift": dict(type=int, default=4),
+    "blocks": dict(default="unit"),
+    "space": dict(default="sum(T*,indexed(sum(lpn(1,#),repeat(T*))))"),
+}
+
+# Each lemma's verifier and the options it reads, passed as the keywords
+# of the same name; any other option is a usage error.
+LEMMAS = {
+    "block-c0": (verify_block_c0, ("max_support", "variant")),
+    "dm": (estimate_dm, ("n", "max_support")),
+    "cm": (estimate_cm, ("max_support", "samples", "seed")),
+    "l2": (verify_lemma_l2, ("k", "cuts", "samples", "seed", "ceiling")),
+    "hat": (hat_sampled_report, ("k", "samples", "seed")),
+    "c0-subseq": (c0_sampled_report, ("k", "samples", "seed")),
+    "spreading": (spreading_report, ("space", "blocks", "k", "shift")),
+}
+
+
 def cmd_verify(args) -> int:
     _check_decimal(args)
     caps = get_caps()
-    lemma = args.lemma
-    # each verifier's signature holds its own default sample count
-    sampled = {} if args.samples is None else {"samples": args.samples}
-    if lemma == "block-c0":
-        report = verify_block_c0(args.max_support, args.variant, caps)
-    elif lemma == "dm":
-        report = estimate_dm(args.n, args.max_support, caps)
-    elif lemma == "cm":
-        report = estimate_cm(args.max_support, seed=args.seed, caps=caps, **sampled)
-    elif lemma == "l2":
+    verifier, names = LEMMAS[args.lemma]
+    # --samples, the one None default, is passed only when given, so
+    # each verifier keeps its own default sample count
+    options = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if "cuts" in options:
         try:
-            cuts = [int(c) for c in args.cuts.split(",")]
+            options["cuts"] = [int(c) for c in args.cuts.split(",")]
         except ValueError:
             raise InputError(f"--cuts must be comma-separated integers, got {args.cuts!r}") from None
-        report = verify_lemma_l2(
-            args.k, cuts, seed=args.seed, ceiling=args.ceiling, caps=caps, **sampled
-        )
-    elif lemma == "hat":
-        report = hat_sampled_report(args.k, seed=args.seed, caps=caps, **sampled)
-    elif lemma == "c0-subseq":
-        report = c0_sampled_report(args.k, seed=args.seed, caps=caps, **sampled)
-    elif lemma == "spreading":
-        space = parse_space(args.space)
-        report = spreading_report(
-            space, args.blocks, args.k, args.shift, caps, space_text=args.space
-        )
-    else:
-        raise InputError(f"unknown lemma {lemma!r}")
+    if "space" in options:
+        options["space"] = parse_space(args.space)
+        options["space_text"] = args.space
+    report = verifier(caps=caps, **options)
     print(report.to_json(decimals=args.decimal))
     return 0 if report.passed in (True, "reported") else 1
 
@@ -320,19 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distortion)
 
     p = sub.add_parser("verify", help="run a lemma verifier, emit a JSON report")
-    p.add_argument("lemma", choices=["block-c0", "dm", "cm", "l2", "hat", "c0-subseq", "spreading"])
-    p.add_argument("--max-support", type=int, default=10, dest="max_support")
-    p.add_argument("--variant", choices=["strict", "relaxed"], default="strict")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--cuts", default="2,4,8")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--ceiling", type=int, default=12)
-    p.add_argument("--shift", type=int, default=4)
-    p.add_argument("--blocks", default="unit")
-    p.add_argument("--space", default="sum(T*,indexed(sum(lpn(1,#),repeat(T*))))")
-    p.add_argument("--decimal", type=int, default=None)
+    lemmas = p.add_subparsers(dest="lemma", required=True)
+    for lemma, (_, names) in LEMMAS.items():
+        q = lemmas.add_parser(lemma)
+        for name in names:
+            q.add_argument("--" + name.replace("_", "-"), **VERIFY_OPTIONS[name])
+        q.add_argument("--decimal", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("parse", help="canonical form of a space expression")

@@ -88,8 +88,8 @@ def dual_norm(
     columns: list[Functional] = []  # column 2(n + i) is columns[i], 2(n + i) + 1 its negation
 
     def enter(column: list[int], cost: int) -> None:
-        sx.add_column(column, cost, integral=True)
-        sx.add_column([-v for v in column], cost, integral=True)
+        sx.add_column(column, cost)
+        sx.add_column([-v for v in column], cost)
 
     def add(f: Functional) -> None:
         column = [0] * n

@@ -16,14 +16,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .errors import CapExceeded, InputError
-from .hamming import (
-    HammingSpace,
-    KSubset,
-    hamming_distance,
-    johnson_distance,
-    make_ksubset,
-    point_pairs,
-)
+from .hamming import KSubset, make_ksubset, metric_distance, point_pairs
 from .norms import NormEngine
 from .spaces import LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual, validate_vector
 from .vectors import SparseVec
@@ -205,18 +198,7 @@ def distortion_pairs(
     caps = caps or get_caps()
     k = spec.k
     pairs = point_pairs(n, k)
-    if metric == "hamming":
-        dist = lambda a, b: Fraction(hamming_distance(a, b))
-    elif metric == "johnson":
-        dist = johnson_distance
-    elif metric == "d_e":
-        if metric_space is None:
-            raise InputError("metric d_e needs a generator space")
-        hs = HammingSpace(k, metric_space, caps)
-        dist = hs.distance
-    else:
-        raise InputError(f"unknown metric {metric!r}")
-
+    dist = metric_distance(metric, k, metric_space, caps)
     space = ambient_space(spec)
     engine = NormEngine(space, caps)
     images = {m: embed(spec, m) for m in combinations(range(1, n + 1), k)}

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .caps import Caps, get_caps
 from .errors import CapExceeded, InputError
@@ -19,6 +19,7 @@ from .vectors import SparseVec
 
 KSubset = tuple[int, ...]
 PAIR_BUDGET = 10**6  # most pairs a brute-force enumeration of [n]^k may visit
+POINT_BUDGET = 200  # most points of a diameter; the T norm of 1_[1,200] takes about 3 s
 
 
 def make_ksubset(values: Iterable[int]) -> KSubset:
@@ -58,6 +59,22 @@ def johnson_distance(a: KSubset, b: KSubset) -> Fraction:
     return Fraction(len(set(a) ^ set(b)), 2)
 
 
+def metric_distance(
+    kind: str, k: int, generator: Optional[SpaceExpr] = None, caps: Optional[Caps] = None
+) -> Callable[[KSubset, KSubset], Fraction | float]:
+    """The distance on [N]^k of a metric kind: hamming (as a Fraction),
+    johnson, or d_e, the metric generated by the depth-1 `generator`."""
+    if kind == "hamming":
+        return lambda a, b: Fraction(hamming_distance(a, b))
+    if kind == "johnson":
+        return johnson_distance
+    if kind == "d_e":
+        if generator is None:
+            raise InputError("metric d_e needs a generator space")
+        return HammingSpace(k, generator, caps).distance
+    raise InputError(f"unknown metric {kind!r}")
+
+
 class HammingSpace:
     """[N]^k with the metric generated by the given depth-1 space."""
 
@@ -92,7 +109,9 @@ class HammingSpace:
 
     def diameter(self):
         """The norm of e_1 + ... + e_k; the diameter of [M]^k for every
-        infinite M."""
+        infinite M.  Refused for k past the point budget."""
+        if self.k > POINT_BUDGET:
+            raise CapExceeded(f"point budget exceeded: k = {self.k} > {POINT_BUDGET}")
         return self.engine.norm(
             SparseVec({(j,): Fraction(1) for j in range(1, self.k + 1)})
         )

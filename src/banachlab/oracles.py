@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul
 from typing import Iterable, Optional
 
@@ -177,10 +178,12 @@ def maximize_over_unit_polytope(
     m = len(rows)
     n = len(objective)
     sx = StandardFormSimplex([Fraction(1)] * m)
-    for j in range(n):
-        sx.add_column([rows[i][j] for i in range(m)], -objective[j])
-    for j in range(n):
-        sx.add_column([-rows[i][j] for i in range(m)], objective[j])
+    for sign in (1, -1):
+        for j in range(n):
+            # the column of sign * y_j and its cost, scaled to ints by their lcm denominator
+            column = [sign * rows[i][j] for i in range(m)]
+            scale = lcm(objective[j].denominator, *(v.denominator for v in column))
+            sx.add_column([int(v * scale) for v in column], int(-sign * objective[j] * scale))
     slack_start = 2 * n
     for i in range(m):
         sx.add_column([int(i == r) for r in range(m)], 0)

@@ -4,8 +4,9 @@ Standard form: minimize c^T t subject to A t = b, t >= 0.  Bland's rule
 is used for both the entering and the leaving choice, which rules out
 cycling.  The row count here is a support size, a few dozen at most.
 
-Representation.  Every stored number is a Python int.  A column (a_j,
-c_j) is scaled on entry by s_j, the lcm of its denominators, and b by
+Representation.  Every stored number is a Python int.  Columns and
+costs are given as ints; a caller with a rational column (a_j, c_j)
+scales it by s_j, the lcm of its denominators, first.  b is scaled by
 the lcm of its denominators.  With B the integer basis matrix, the basis
 inverse is held as N/d, where N = adj(B) and d = det(B) up to one common
 sign chosen so that d > 0.  The duals are z/d with z = c_B^T N, and the
@@ -61,17 +62,10 @@ class StandardFormSimplex:
         self.xb: list[int] = []  # N b; the basic solution is N b / d
         self.z: list[int] = []  # c_B^T N; the duals are z / d
 
-    def add_column(self, column: list, cost, *, integral: bool = False) -> int:
-        """Append a column; ints and Fractions are accepted, and the pair
-        is scaled by the lcm of its denominators.  With `integral`, the
-        caller vouches that the column is a list of ints and the cost an
-        int, and they are stored as they are."""
+    def add_column(self, column: list[int], cost: int) -> int:
+        """Append a column of ints with its int cost, stored as given."""
         if len(column) != self.m:
             raise SimplexError("column length mismatch")
-        if not integral:
-            scale = lcm(cost.denominator, *(v.denominator for v in column))
-            column = [int(v * scale) for v in column]
-            cost = int(cost * scale)
         self.cols.append(column)
         self.costs.append(cost)
         return len(self.cols) - 1

@@ -386,7 +386,9 @@ def hat_select(
 ) -> tuple[list[int], tuple, VerifierReport]:
     """Pigeonhole selection of k indices whose row-norm profiles land in
     one grid cube of side 1/k, plus exact verification of the proximity
-    bound 1/k and the sign-sum bound 2.
+    bound 1/k and the sign-sum bound 2.  The sign-sum bound is checked,
+    not proven: `verify hat --k 4 --samples 9` fails it with 52018/21255
+    (about 2.45) in instance 3.
 
     Expects k^(k+1) grid vectors, the j-th supported in rows [1, k] and a
     column band that lies strictly after the previous one (first band
@@ -662,16 +664,16 @@ def spreading_witness(
 
 def spreading_report(
     space: SpaceExpr,
-    block_gen: str = "unit",
+    blocks: str = "unit",
     k: int = 2,
     shift: int = 4,
     caps: Optional[Caps] = None,
     space_text: str = "",
 ) -> VerifierReport:
-    c_low, c_up = spreading_witness(space, block_gen, k, shift, caps)
+    c_low, c_up = spreading_witness(space, blocks, k, shift, caps)
     return VerifierReport(
         lemma="spreading",
-        params={"space": space_text, "blocks": block_gen, "k": k, "shift": shift},
+        params={"space": space_text, "blocks": blocks, "k": k, "shift": shift},
         samples=2 ** (k - 1),
         max_ratio=c_up / c_low,
         witness={"c_low": str(c_low), "c_up": str(c_up)},

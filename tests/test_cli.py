@@ -9,6 +9,7 @@ import pytest
 from banachlab.caps import Caps, parse_caps
 from banachlab.cli import main
 from banachlab.errors import InputError
+from banachlab.hamming import POINT_BUDGET
 from banachlab.norms import NormEngine
 
 
@@ -219,7 +220,8 @@ class TestExitCodes:
         ["metric", "--k", "-1", "--a", "1", "--b", "2"],
     ]
     # refused for their cost, with exit 3 and one `refused:` line: more
-    # than 10^4 grid vectors, k^(k+1) per sample
+    # than 10^4 grid vectors, k^(k+1) per sample, or a diameter past the
+    # point budget
     REFUSED_INPUTS = [
         ["verify", "hat", "--k", "5"],
         ["verify", "c0-subseq", "--k", "5"],
@@ -228,6 +230,9 @@ class TestExitCodes:
         ["verify", "hat", "--k", "4", "--samples", "10"],
         ["verify", "hat", "--k", "1", "--samples", "10001"],
         ["verify", "c0-subseq", "--k", str(10**9)],
+        ["diameter", "--space", "T", "--k", "100000"],
+        ["diameter", "--space", "T", "--k", str(10**400)],
+        ["diameter", "--space", "l1", "--k", str(POINT_BUDGET + 1)],
     ]
     BAD_INPUTS += REFUSED_INPUTS
 
@@ -307,6 +312,41 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
         assert info.value.code == 2
+
+
+# the options each lemma reads; every other `verify` option is a usage
+# error for it
+LEMMA_OPTIONS = {
+    "block-c0": {"--max-support", "--variant"},
+    "dm": {"--n", "--max-support"},
+    "cm": {"--max-support", "--samples", "--seed"},
+    "l2": {"--k", "--cuts", "--samples", "--seed", "--ceiling"},
+    "hat": {"--k", "--samples", "--seed"},
+    "c0-subseq": {"--k", "--samples", "--seed"},
+    "spreading": {"--space", "--blocks", "--k", "--shift"},
+}
+VERIFY_VALUES = {
+    "--max-support": "5", "--variant": "strict", "--n": "2", "--k": "2",
+    "--cuts": "2,4,8", "--samples": "1", "--seed": "1", "--ceiling": "12",
+    "--shift": "4", "--blocks": "unit", "--space": "T",
+}
+UNREAD = [
+    (lemma, option)
+    for lemma, options in LEMMA_OPTIONS.items()
+    for option in VERIFY_VALUES
+    if option not in options
+]
+
+
+@pytest.mark.parametrize("lemma, option", UNREAD, ids=[f"{l}{o}" for l, o in UNREAD])
+def test_unread_verify_option_is_a_usage_error(lemma, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", lemma, option, VERIFY_VALUES[option]])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"unrecognized arguments: {option}" in err
 
 
 class TestDistortionCsv:

@@ -1,21 +1,28 @@
 """Grammar fuzzing of the CLI error contract: every argument list, valid
 or not, ends with exit code 0, 1, 2 or 3 and never with a traceback.
+The same grammar draws sum spaces of depth 2 and 3 for the norm axioms.
 
 Spaces come from the README grammar and vectors have the depth of their
-space; sizes stay small, far below the caps.  A quarter of the argument
+space; sizes stay small, far below the caps, except `diameter --k`,
+which is also drawn past its point budget.  A quarter of the argument
 lists then get one value replaced by junk, so that each argument is
 also tried malformed.  The search is derandomized, so every run replays
 the same examples."""
 
 import contextlib
 import io
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachlab.cli import main
-from banachlab.spaces import parse_space, space_depth
+from banachlab.errors import InputError
+from banachlab.hamming import POINT_BUDGET
+from banachlab.norms import NormEngine
+from banachlab.spaces import parse_space, space_depth, validate_vector
+from banachlab.vectors import SparseVec
 
 P = st.sampled_from(["1", "2", "3/2", "inf"])
 LEAVES = st.one_of(
@@ -89,7 +96,7 @@ def _command(draw, command):
         return ["metric", "--space", draw(LEAVES), "--k", str(k), "--a", _subset(draw, k),
                 "--b", _subset(draw, k), "--kind", draw(st.sampled_from(["hamming", "johnson", "d_e"]))]
     if command == "diameter":
-        k = draw(st.integers(1, 3))
+        k = draw(st.one_of(st.integers(1, 3), st.integers(POINT_BUDGET + 1, 10**400)))
         return ["diameter", "--space", draw(LEAVES), "--k", str(k),
                 *_options(draw, [("--check", st.integers(2 * k, 2 * k + 2))])]
     if command == "distortion":
@@ -155,3 +162,61 @@ def test_every_argument_list_keeps_the_exit_contract(command):
         assert "Traceback" not in err, (argv, err)
 
     check()
+
+
+# -- norm axioms on sum spaces ------------------------------------------------
+
+# sums of depth 2 and 3, with every leaf space
+DEPTH2 = st.one_of(
+    st.builds("sum({},repeat({}))".format, LEAVES, LEAVES),
+    st.builds("sum({},indexed(lpn({},#)))".format, LEAVES, P),
+)
+SUM_SPACES = st.one_of(
+    DEPTH2,
+    st.builds("sum({},repeat({}))".format, LEAVES, DEPTH2),
+    st.builds("sum({},indexed(sum(lpn({},#),repeat({}))))".format, LEAVES, P, LEAVES),
+)
+SUM_VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def _is_valid(space, x) -> bool:
+    try:
+        validate_vector(space, x)
+    except InputError:
+        return False
+    return True
+
+
+@st.composite
+def sum_space_vectors(draw):
+    """A sum space and two vectors of at most 4 terms that it validates."""
+    space = parse_space(draw(SUM_SPACES))
+    path = st.tuples(*[st.integers(1, 3)] * space_depth(space))
+
+    def vector():
+        # the first 4 candidate paths that the space validates
+        paths = draw(st.lists(path, min_size=4, max_size=12, unique=True))
+        paths = [p for p in paths if _is_valid(space, SparseVec({p: 1}))][:4]
+        return SparseVec({p: draw(SUM_VALUES) for p in paths})
+
+    return space, vector(), vector()
+
+
+def _agree(a, b) -> bool:
+    """Exact for two Fractions, else within a relative 1e-12."""
+    if isinstance(a, Fraction) and isinstance(b, Fraction):
+        return a == b
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@given(sum_space_vectors())
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+def test_sum_norm_homogeneity_and_triangle(drawn):
+    space, x, y = drawn
+    engine = NormEngine(space)
+    nx, ny = engine.norm(x), engine.norm(y)
+    for c in (Fraction(-2), Fraction(1, 3), Fraction(3, 2)):
+        assert _agree(engine.norm(c * x), abs(c) * nx), (c, x)
+    total = nx + ny
+    assert engine.norm(x + y) <= total * (1 + 1e-12 if isinstance(total, float) else 1)
+

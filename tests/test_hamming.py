@@ -7,10 +7,12 @@ import pytest
 
 from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import (
+    POINT_BUDGET,
     HammingSpace,
     hamming_distance,
     johnson_distance,
     make_ksubset,
+    metric_distance,
     parse_ksubset,
 )
 from banachlab.oracles import brute_force_tsirelson
@@ -112,9 +114,27 @@ class TestGeneratedMetric:
             HammingSpace(2, parse_space("sum(T*,repeat(T*))"))
 
 
+class TestMetricKinds:
+    def test_each_kind(self):
+        a, b = (1, 3, 5), (2, 3, 7)
+        assert metric_distance("hamming", 3)(a, b) == F(2)
+        assert metric_distance("johnson", 3)(a, b) == F(2)
+        assert metric_distance("d_e", 3, parse_space("c0"))(a, b) == F(1)
+
+    @pytest.mark.parametrize("kind", ["d_e", "euclid"])  # d_e without a generator
+    def test_bad_kind_is_an_input_error(self, kind):
+        with pytest.raises(InputError):
+            metric_distance(kind, 2)
+
+
 class TestDiameter:
     def test_l1_diameter_is_k(self):
         assert HammingSpace(3, parse_space("l1")).diameter() == 3
+
+    def test_point_budget(self):
+        assert HammingSpace(POINT_BUDGET, parse_space("l1")).diameter() == POINT_BUDGET
+        with pytest.raises(CapExceeded, match="point budget"):
+            HammingSpace(POINT_BUDGET + 1, parse_space("l1")).diameter()
 
     def test_c0_diameter_is_one(self):
         for k in (1, 2, 5):

@@ -3,13 +3,14 @@ CLI block through `cli.main`, and the Library snippet with the values
 in its comments."""
 
 import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from banachlab.cli import main
+from banachlab.cli import LEMMAS, build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -63,3 +64,18 @@ def test_library_snippet():
         else:
             exec(code, namespace)
     assert checked == 4
+
+
+def test_verify_option_table():
+    """Each row of the verifier table names exactly the options its lemma
+    reads, with the defaults a run without them uses."""
+    rows = re.findall(r"^\| `([\w-]+)` \| (`--.*) \|$", README, re.M)
+    assert [lemma for lemma, _ in rows] == list(LEMMAS)
+    for lemma, cells in rows:
+        documented = dict(re.findall(r'`--([\w-]+) "?([^`"]+?)"?`', cells))
+        args = vars(build_parser().parse_args(["verify", lemma]))
+        for name in ("command", "func", "lemma", "decimal"):
+            del args[name]
+        if args.get("samples", 0) is None:
+            args["samples"] = inspect.signature(LEMMAS[lemma][0]).parameters["samples"].default
+        assert documented == {name.replace("_", "-"): str(v) for name, v in args.items()}, lemma
