@@ -128,37 +128,42 @@ def cmd_parse(args) -> int:
     return 0
 
 
+# The parameters each named embedding takes; any other is an input error.
+EMBEDDING_PARAMS = {"prop73": ("p", "k"), "xpq": ("p", "q", "k")}
+
+
 def _parse_embedding(text: str):
     name, _, params_text = text.partition(":")
     if name == "array":
         return _load_array_embedding(params_text)
+    if name not in EMBEDDING_PARAMS:
+        raise InputError(f"unknown embedding spec {text!r}")
     params = {}
     for item in params_text.split(","):
         item = item.strip()
         if not item:
             continue
         key, _, value = item.partition("=")
-        params[key.strip()] = value.strip()
-    def param(key, default=None):
-        if key in params:
-            return params[key]
-        if default is None:
+        key = key.strip()
+        if key not in EMBEDDING_PARAMS[name]:
+            raise InputError(f"embedding {name!r} has no parameter {key!r}")
+        params[key] = value.strip()
+    def param(key):
+        if key not in params:
             raise InputError(f"embedding {name!r} needs parameter {key!r}")
-        return default
+        return params[key]
     def pvalue(key):
         value = param(key)
         return None if value == "inf" else parse_rational(value)
-    def ivalue(key, default=None):
-        value = param(key, default)
+    def ivalue(key):
+        value = param(key)
         try:
             return int(value)
         except ValueError:
             raise InputError(f"parameter {key!r} must be an integer, got {value!r}") from None
     if name == "prop73":
         return Prop73(pvalue("p"), ivalue("k"))
-    if name == "xpq":
-        return XpqBranch(pvalue("p"), pvalue("q"), ivalue("k"), ivalue("w", "8"))
-    raise InputError(f"unknown embedding spec {text!r}")
+    return XpqBranch(pvalue("p"), pvalue("q"), ivalue("k"))
 
 
 def _load_array_embedding(path: str) -> ArrayEmbed:
@@ -168,7 +173,8 @@ def _load_array_embedding(path: str) -> ArrayEmbed:
     k = None
     array = {}
     try:
-        lines = open(path, encoding="utf-8").read().splitlines()
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read array file {path!r}: {exc}") from None
     for line in lines:
@@ -338,12 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", required=True)
     p.set_defaults(func=cmd_parse)
 
+    # each command, and each lemma of `verify`, reports its own usage errors
+    for command in (*sub.choices.values(), *lemmas.choices.values()):
+        command.set_defaults(parser=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # arguments left over are reported by the parser of the command that
+    # ran, so its usage line is the one printed
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -15,10 +15,10 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
-from .errors import CapExceeded, InputError
+from .errors import InputError
 from .hamming import KSubset, make_ksubset, metric_distance, point_pairs
 from .norms import NormEngine
-from .spaces import LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual, validate_vector
+from .spaces import Lp, LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual, validate_vector
 from .vectors import SparseVec
 
 ONE = Fraction(1)
@@ -62,18 +62,18 @@ def array_embed(array: Mapping[tuple[int, int], SparseVec], k: int, m: KSubset) 
 
 # -- nested lq-of-lp tree spaces ----------------------------------------------
 #
-# The level-k tree space is R +_q (width-W lp-sum of level-(k-1) spaces).
-# The scalar summand is represented isometrically as the all-ones basis
-# direction of the first copy, which keeps every coordinate path at the
-# uniform depth 2k + 1.
+# The level-k tree space is R +_q (lp-sum over all of N of level-(k-1)
+# spaces).  The scalar summand is represented isometrically as the
+# all-ones basis direction of the first copy, which keeps every
+# coordinate path at the uniform depth 2k + 1.
 
 
-def xpq_space(p: PValue, q: PValue, k: int, width: int = 8) -> SpaceExpr:
+def xpq_space(p: PValue, q: PValue, k: int) -> SpaceExpr:
     if k < 0:
         raise InputError("tree height must be >= 0")
     space: SpaceExpr = LpN(q, 1)
     for _ in range(k):
-        level = Sum(LpN(p, width), Repeat(space))
+        level = Sum(Lp(p), Repeat(space))
         space = Sum(LpN(q, 2), Repeat(level))
     return space
 
@@ -85,21 +85,13 @@ def _node_path(k: int, gaps: Sequence[int]) -> tuple[int, ...]:
     return (2, gaps[0]) + _node_path(k - 1, gaps[1:])
 
 
-def xpq_branch_vectors(
-    p: PValue, q: PValue, k: int, m: KSubset, width: int = 8
-) -> list[SparseVec]:
+def xpq_branch_vectors(p: PValue, q: PValue, k: int, m: KSubset) -> list[SparseVec]:
     """The k branch vectors at nodes m|1, ..., m|k; each is a unit basis
-    vector of the truncated tree space, so the truncation is exact as
-    long as every copy index fits the width."""
+    vector of the tree space."""
     m = make_ksubset(m)
     if len(m) != k:
         raise InputError(f"expected a {k}-subset")
     gaps = [m[0]] + [b - a for a, b in zip(m, m[1:])]
-    for gap in gaps:
-        if gap > width:
-            raise CapExceeded(
-                f"branch copy index {gap} exceeds the truncation width {width}"
-            )
     return [
         SparseVec({_node_path(k, gaps[: n + 1]): ONE}) for n in range(k)
     ]
@@ -134,7 +126,6 @@ class XpqBranch:
     p: PValue
     q: PValue
     k: int
-    width: int = 8
 
 
 EmbeddingSpec = Union[Prop73, ArrayEmbed, XpqBranch]
@@ -146,7 +137,7 @@ def ambient_space(spec: EmbeddingSpec) -> SpaceExpr:
     if isinstance(spec, ArrayEmbed):
         return spec.space
     if isinstance(spec, XpqBranch):
-        return xpq_space(spec.p, spec.q, spec.k, spec.width)
+        return xpq_space(spec.p, spec.q, spec.k)
     raise InputError(f"unknown embedding spec {spec!r}")
 
 
@@ -156,7 +147,7 @@ def embed(spec: EmbeddingSpec, m: KSubset) -> SparseVec:
     if isinstance(spec, ArrayEmbed):
         return array_embed(spec.array, spec.k, m)
     if isinstance(spec, XpqBranch):
-        return sum(xpq_branch_vectors(spec.p, spec.q, spec.k, m, spec.width), SparseVec())
+        return sum(xpq_branch_vectors(spec.p, spec.q, spec.k, m), SparseVec())
     raise InputError(f"unknown embedding spec {spec!r}")
 
 

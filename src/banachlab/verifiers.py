@@ -12,6 +12,7 @@ hard assertions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -43,6 +44,15 @@ def tt_space() -> SpaceExpr:
 def _require_positive(name: str, value: int) -> None:
     if value < 1:
         raise InputError(f"{name} must be >= 1, got {value}")
+
+
+def _grid_instance(k: int, vectors: Iterable[SparseVec]) -> list[SparseVec]:
+    """The k^(k+1) vectors of one grid instance, as a list."""
+    _require_positive("k", k)
+    vecs = list(vectors)
+    if len(vecs) != k ** (k + 1):
+        raise InputError(f"need k^(k+1) = {k ** (k + 1)} vectors, got {len(vecs)}")
+    return vecs
 
 
 def _check_sampled(k: int, samples: int) -> None:
@@ -393,13 +403,14 @@ def hat_select(
     Expects k^(k+1) grid vectors, the j-th supported in rows [1, k] and a
     column band that lies strictly after the previous one (first band
     past column k), each with norm at most 1.
+
+    The report's `max_ratio` is the largest sign sum of the selected
+    vectors, its verdict is True when both bounds hold and False
+    otherwise, and its witness is the selected indices, their cell and
+    the first sign pattern that attains the sign sum.
     """
     caps = caps or get_caps()
-    _require_positive("k", k)
-    M = k ** (k + 1)
-    vecs = list(w_list)
-    if len(vecs) != M:
-        raise InputError(f"need k^(k+1) = {M} vectors, got {len(vecs)}")
+    vecs = _grid_instance(k, w_list)
     engine = NormEngine(tt_space(), caps)
     last_col = k
     for j, vec in enumerate(vecs, start=1):
@@ -456,8 +467,8 @@ def hat_select(
         passed = False
     report = VerifierReport(
         lemma="hat",
-        params={"k": k, "M": M},
-        samples=M,
+        params={"k": k, "M": len(vecs)},
+        samples=len(vecs),
         max_ratio=best,
         witness={"indices": selected, "cell": list(cell_key), "signs": sign_witness},
         passed=passed,
@@ -474,10 +485,7 @@ def select_c0_subsequence(
     the hat parts, and measure the exact finite-linfty equivalence
     constants of the selected blocks."""
     caps = caps or get_caps()
-    M = k ** (k + 1)
-    vecs = list(x_list)
-    if len(vecs) != M:
-        raise InputError(f"need k^(k+1) = {M} vectors, got {len(vecs)}")
+    vecs = _grid_instance(k, x_list)
     engine = NormEngine(tt_space(), caps)
     n_prev = k
     for j, vec in enumerate(vecs, start=1):
@@ -504,8 +512,8 @@ def select_c0_subsequence(
         passed = False
     report = VerifierReport(
         lemma="c0-subseq",
-        params={"k": k, "M": M},
-        samples=M,
+        params={"k": k, "M": len(vecs)},
+        samples=len(vecs),
         max_ratio=c_up,
         witness={
             "indices": selected,
@@ -572,74 +580,51 @@ def random_c0_instance(k: int, rng: random.Random) -> list[SparseVec]:
     return out
 
 
-def hat_sampled_report(
-    k: int = 2,
-    samples: int = 100,
-    seed: int = DEFAULT_SEED,
-    caps: Optional[Caps] = None,
+def _sampled_report(
+    make_instance, select, k: int, samples: int, seed: int, caps: Optional[Caps]
 ) -> VerifierReport:
-    """Run the grid pigeonhole selection on seeded random instances and
-    merge the outcomes; every instance must select successfully and pass
-    the proximity and sign-sum assertions."""
+    """Run `select` on `samples` instances drawn by `make_instance` from
+    one `random.Random(seed)` and merge their reports.
+
+    `max_ratio` is the largest instance value.  The verdict is False once
+    any instance fails and otherwise the instances' own.  The witness is
+    the instance with the largest ratio (the first to reach it) or, once
+    an instance has failed, the last instance that failed.
+    """
     caps = caps or get_caps()
     _check_sampled(k, samples)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
-    passed = True
+    failed = False
     for index in range(samples):
-        instance = random_hat_instance(k, rng)
-        _, _, report = hat_select(k, instance, caps)
-        if report.passed is not True:
-            passed = False
+        report = select(k, make_instance(k, rng), caps)[2]
+        if report.passed is False or (not failed and report.max_ratio > best):
             witness = {"instance": index, **report.to_dict()["witness"]}
-        if report.max_ratio > best:
-            best = report.max_ratio
-            if passed:
-                witness = {"instance": index, **report.to_dict()["witness"]}
-    return VerifierReport(
-        lemma="hat",
-        params={"k": k, "M": k ** (k + 1)},
+        failed = failed or report.passed is False
+        best = max(best, report.max_ratio)
+    return dataclasses.replace(
+        report,
         samples=samples,
         max_ratio=best,
         witness=witness,
-        passed=passed,
+        passed=False if failed else report.passed,
         seed=seed,
-        bound_claimed="2",
     )
+
+
+def hat_sampled_report(
+    k: int = 2, samples: int = 100, seed: int = DEFAULT_SEED, caps: Optional[Caps] = None
+) -> VerifierReport:
+    """The grid pigeonhole selection on seeded random instances."""
+    return _sampled_report(random_hat_instance, hat_select, k, samples, seed, caps)
 
 
 def c0_sampled_report(
-    k: int = 2,
-    samples: int = 20,
-    seed: int = DEFAULT_SEED,
-    caps: Optional[Caps] = None,
+    k: int = 2, samples: int = 20, seed: int = DEFAULT_SEED, caps: Optional[Caps] = None
 ) -> VerifierReport:
-    """Seeded-instance harness for the block subsequence selection."""
-    caps = caps or get_caps()
-    _check_sampled(k, samples)
-    rng = random.Random(seed)
-    best = Fraction(0)
-    witness = None
-    passed: Union[bool, str] = "reported"
-    for index in range(samples):
-        instance = random_c0_instance(k, rng)
-        _, (c_low, c_up), report = select_c0_subsequence(k, instance, caps)
-        if report.passed is False:
-            passed = False
-        if c_up > best:
-            best = c_up
-            witness = {"instance": index, **report.to_dict()["witness"]}
-    return VerifierReport(
-        lemma="c0-subseq",
-        params={"k": k, "M": k ** (k + 1)},
-        samples=samples,
-        max_ratio=best,
-        witness=witness,
-        passed=passed,
-        seed=seed,
-        bound_claimed="3*D_M + 2 (no numeric value known)",
-    )
+    """The block subsequence selection on seeded random instances."""
+    return _sampled_report(random_c0_instance, select_c0_subsequence, k, samples, seed, caps)
 
 
 # -- spreading-model witnesses ----------------------------------------------

@@ -103,6 +103,20 @@ class TestCommands:
         assert data["distortion"] == "1/1"
         assert data["pairs"] == 45
 
+    def test_xpq_copy_gaps_past_eight(self, capsys):
+        # the gaps of [1, 12]^2 reach 11: every copy of the tree space
+        # is in the lp-sum, so no copy index is refused
+        code, out, err = run_cli(
+            ["distortion", "--embedding", "xpq:p=2,q=1,k=2", "--n", "12", "--metric", "hamming"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"argmax":[[1,3],[2,3]],"argmin":[[1,2],[1,3]],"distortion":2.0,'
+            '"embedding":"xpq:p=2,q=1,k=2","lower":1.4142135623730951,"metric":"hamming",'
+            '"n":12,"pairs":2145,"upper":2.8284271247461903}\n'
+        )
+
     def test_distortion_csv(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run_cli(
@@ -185,6 +199,9 @@ class TestExitCodes:
         ["distortion", "--embedding", "prop73:p=1", "--n", "4"],
         ["distortion", "--embedding", "xpq:p=2,q=1", "--n", "4"],
         ["distortion", "--embedding", "prop73:k=2", "--n", "4"],
+        # a parameter the embedding does not take, such as the old xpq width
+        ["distortion", "--embedding", "prop73:p=1,k=2,zzz=4", "--n", "4"],
+        ["distortion", "--embedding", "xpq:p=2,q=1,k=2,w=8", "--n", "4"],
         ["norm", "--space", "lp(3)", "--vec", f"1:{10**400},2:1"],
         ["verify", "l2", "--cuts", "x"],
         ["verify", "l2", "--k", "0", "--cuts", "0"],
@@ -252,6 +269,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["verify", "spreading", "--shift", "-5"], "shift must be >= 0, got -5"),
         (["metric", "--k", "0", "--a", "1", "--b", "2"], "k must be >= 1, got 0"),
+        (["distortion", "--embedding", "xpq:p=2,q=1,k=2,w=8", "--n", "4"],
+         "embedding 'xpq' has no parameter 'w'"),
+        (["distortion", "--embedding", "prop73:p=1,k=2,zzz=4", "--n", "4"],
+         "embedding 'prop73' has no parameter 'zzz'"),
     ])
     def test_bad_size_is_named_as_given(self, argv, message, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -312,6 +333,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["norm"])  # missing required flags
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv, prog", [
+        (["verify", "dm", "--k", "3"], "banachlab verify dm"),
+        (["norm", "--space", "T", "--vec", "1:1", "--k", "3"], "banachlab norm"),
+    ])
+    def test_leftover_arguments_name_the_subcommand(self, argv, prog, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert err.startswith(f"usage: {prog} [-h]")
+        assert err.endswith(f"{prog}: error: unrecognized arguments: --k 3\n")
 
 
 # the options each lemma reads; every other `verify` option is a usage

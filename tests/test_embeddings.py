@@ -183,7 +183,8 @@ class TestXpqBranches:
         for k in (1, 2, 3):
             space = xpq_space(F(2), q, k)
             engine = NormEngine(space)
-            branches = [(1, 3, 6), (2, 4, 5), (1, 2, 3)]
+            # the last branch has copy gaps 11 and 18
+            branches = [(1, 3, 6), (2, 4, 5), (1, 2, 3), (1, 12, 30)]
             for branch in branches:
                 vecs = xpq_branch_vectors(F(2), q, k, branch[:k])
                 for _ in range(5):
@@ -200,10 +201,6 @@ class TestXpqBranches:
                         assert abs(float(value) - float(expected)) < 1e-9
                     else:
                         assert value == expected
-
-    def test_width_refusal(self):
-        with pytest.raises(CapExceeded):
-            xpq_branch_vectors(F(2), F(1), 2, (1, 12), width=8)
 
 
 class TestEllInftyEquivalence:

@@ -74,7 +74,7 @@ def test_verify_option_table():
     for lemma, cells in rows:
         documented = dict(re.findall(r'`--([\w-]+) "?([^`"]+?)"?`', cells))
         args = vars(build_parser().parse_args(["verify", lemma]))
-        for name in ("command", "func", "lemma", "decimal"):
+        for name in ("command", "func", "parser", "lemma", "decimal"):
             del args[name]
         if args.get("samples", 0) is None:
             args["samples"] = inspect.signature(LEMMAS[lemma][0]).parameters["samples"].default

@@ -102,6 +102,10 @@ REPORT_PINS = [
      '{"bound_claimed":"2","lemma":"hat","max_ratio":"2/1","params":{"M":81,"k":3},"pass":true,"samples":4,"seed":1729,"witness":{"cell":[1,3,1],"indices":[3,4,6],"instance":1,"signs":[1,1,1]}}'),
     ('c0', (3, 4, 11),
      '{"bound_claimed":"3*D_M + 2 (no numeric value known)","lemma":"c0-subseq","max_ratio":"388/155","params":{"M":81,"k":3},"pass":"reported","samples":4,"seed":11,"witness":{"c_low":"1","c_up":"388/155","cell":[1,1,1],"indices":[1,2,3],"instance":2}}'),
+    # instance 3 alone fails (c_up 25/11), so it is the witness, not the
+    # passing instance 14 that attains max_ratio
+    ('c0', (3, 20, 9),
+     '{"bound_claimed":"3*D_M + 2 (no numeric value known)","lemma":"c0-subseq","max_ratio":"1014/437","params":{"M":81,"k":3},"pass":false,"samples":20,"seed":9,"witness":{"c_low":"1","c_up":"25/11","cell":[3,1,1],"indices":[1,2,5],"instance":3}}'),
     ('spreading', ('T', 'unit', 3, 4),
      '{"bound_claimed":"6 (consistency with the spreading-model constant)","lemma":"spreading","max_ratio":"3/2","params":{"blocks":"unit","k":3,"shift":4,"space":"T"},"pass":"reported","samples":4,"seed":null,"witness":{"c_low":"1","c_up":"3/2"}}'),
     ('spreading', ('T*', 'doubleton', 2, 3),

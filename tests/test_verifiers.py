@@ -12,6 +12,7 @@ from banachlab.caps import Caps
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import NormEngine
+from banachlab.report import VerifierReport
 from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, parse_vector, unit
 from banachlab.verifiers import (
@@ -244,6 +245,51 @@ class TestVectorBudget:
         for k, n in [(4, samples), (5, 1), (1, 10**4 + 1), (10**9, 1)]:
             with pytest.raises(CapExceeded, match="vector budget exceeded"):
                 report(k, samples=n)
+
+
+class TestSampledMerge:
+    """The merge rule of the sampled harnesses, on scripted instance
+    reports: (ratio, failed) per instance, then the expected max_ratio,
+    whether the run fails, and the witness instance."""
+
+    SCRIPTS = [
+        ("all-pass", [(1, False), (3, False), (3, False), (2, False)], 3, False, 1),
+        ("one-failure", [(3, False), (2, True), (1, False)], 3, True, 1),
+        ("failure-then-larger-pass", [(1, False), (2, True), (5, False)], 5, True, 1),
+        ("two-failures", [(1, True), (4, False), (2, True), (3, False)], 4, True, 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "report, instance, select, verdict",
+        [
+            (hat_sampled_report, "random_hat_instance", "hat_select", True),
+            (c0_sampled_report, "random_c0_instance", "select_c0_subsequence", "reported"),
+        ],
+    )
+    @pytest.mark.parametrize("name, script, best, fails, witness", SCRIPTS, ids=[s[0] for s in SCRIPTS])
+    def test_merge(self, report, instance, select, verdict, name, script, best, fails, witness, monkeypatch):
+        draws = iter(range(len(script)))
+
+        def scripted(k, index, caps):
+            ratio, failed = script[index]
+            return None, None, VerifierReport(
+                lemma="scripted",
+                params={"k": k},
+                samples=1,
+                max_ratio=F(ratio),
+                witness={"tag": index},
+                passed=False if failed else verdict,
+                bound_claimed="b",
+            )
+
+        monkeypatch.setattr(verifiers, instance, lambda k, rng: next(draws))
+        monkeypatch.setattr(verifiers, select, scripted)
+        merged = report(1, samples=len(script), seed=5)
+        assert (merged.lemma, merged.params, merged.bound_claimed) == ("scripted", {"k": 1}, "b")
+        assert (merged.samples, merged.seed) == (len(script), 5)
+        assert merged.max_ratio == best
+        assert merged.passed == (False if fails else verdict)
+        assert merged.witness == {"instance": witness, "tag": witness}
 
 
 class TestSpreading:
