@@ -194,14 +194,20 @@ def distortion_pairs(
     engine = NormEngine(space, caps)
     images = {m: embed(spec, m) for m in combinations(range(1, n + 1), k)}
     # each image is checked once here; a difference of two valid images
-    # is valid, so every pair goes through the unchecked `_norm`
+    # is valid, so every pair goes through the unchecked engine, and an
+    # image of a `Sum` is split into its summand parts once
     for image in images.values():
         validate_vector(space, image)
+    if isinstance(space, Sum):
+        images = {m: engine._split(image) for m, image in images.items()}
+        norm = engine._pair_norm
+    else:
+        norm = lambda x, y: engine._norm(x - y)
     for a, b in pairs:
         d = dist(a, b)
         if d == 0:
             raise InputError(f"metric vanishes on distinct points {a}, {b}")
-        yield a, b, d, engine._norm(images[a] - images[b])
+        yield a, b, d, norm(images[a], images[b])
 
 
 def measure_distortion(

@@ -388,10 +388,21 @@ class NormEngine:
     Only engines over T, T*, M and S(f) memoize: their evaluators are a
     DP, an LP or a partition search, and the parts of a `Sum` repeat
     across the vectors of a scan.  The top level of a `Sum` and the lp
-    spaces evaluate directly: a distortion scan hands the top level a
-    distinct f(a) - f(b) at every pair, so a memo there grows with the
-    pair count and never hits, and an lp norm of a few terms costs less
-    than hashing its key.
+    spaces evaluate directly: a scan seldom hands the top level one
+    vector twice, and an lp norm of a few terms costs less than hashing
+    its key.
+
+    A distortion scan takes ||f(a) - f(b)|| over every pair without
+    building f(a) - f(b): `_split` cuts each image of a `Sum` into its
+    summand parts once and interns them, so that equal parts in one
+    summand are one object, and `_pair_norm` works on two such splits.
+    It skips each summand whose two parts are the same object.  Where
+    the summand's engine memoizes, it keeps the inner norm of a differing
+    pair under (k, part of f(a), part of f(b)), so that memo holds at
+    most sum_k P_k (P_k - 1) entries, P_k being the number of distinct
+    parts the images have in summand k.  Over lp or a nested `Sum` it
+    takes the difference of the two parts and recurses, as `_sum_norm`
+    does; a memo there would grow with the pair count.
 
     `norm` is the validating edge: it checks x against the space once
     and hands it to the unchecked `_norm`.  A valid vector of a `Sum`
@@ -411,6 +422,9 @@ class NormEngine:
         )
         self._outer: Optional[NormEngine] = None
         self._inner: dict[int, NormEngine] = {}
+        # for `_split` and `_pair_norm` over a `Sum`
+        self._parts: dict[tuple[int, SparseVec], SparseVec] = {}
+        self._pairs: dict[tuple[int, SparseVec, SparseVec], Fraction | float] = {}
 
     def norm(self, x: SparseVec) -> Fraction | float:
         validate_vector(self.space, x)
@@ -449,18 +463,54 @@ class NormEngine:
     def _sum_norm(self, space: Sum, x: SparseVec):
         if not x:
             return Fraction(0)
+        part_norms = {}
+        for k, part in x.leading_groups().items():
+            part_norms[k] = self._inner_engine(space, k)._norm(part)
+        return self._outer_norm(part_norms)
+
+    def _split(self, x: SparseVec) -> dict[int, SparseVec]:
+        """The parts of a valid vector of this `Sum` by summand, in
+        increasing k, each interned per summand for `_pair_norm`."""
+        if not x:
+            return {}
+        seen = self._parts
+        return {k: seen.setdefault((k, part), part) for k, part in x.leading_groups().items()}
+
+    def _pair_norm(self, a: dict[int, SparseVec], b: dict[int, SparseVec]):
+        """||x - y|| for the `_split`s a of x and b of y: the value
+        `_sum_norm` gives, without building x - y."""
+        space, memo = self.space, self._pairs
+        part_norms = {}
+        for k in sorted(a.keys() | b.keys()):
+            part_a = a.get(k)
+            part_b = b.get(k)
+            if part_a is part_b:
+                continue
+            engine = self._inner_engine(space, k)
+            if engine._memo is None:
+                part_norms[k] = engine._norm(_difference(part_a, part_b))
+                continue
+            key = (k, part_a, part_b)
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = engine._norm(_difference(part_a, part_b))
+            part_norms[k] = value
+        return self._outer_norm(part_norms)
+
+    def _outer_norm(self, part_norms: dict[int, Fraction | float]):
+        """The outer norm of the inner norms by summand, given in
+        increasing k.  Float inner norms enter as exact `Fraction`s, and
+        the result is a float if any of them was one."""
         inexact = False
         outer_entries = {}
-        for k, part in x.leading_groups().items():
-            engine = self._inner_engine(space, k)
-            value = engine._norm(part)
+        for k, value in part_norms.items():
             if isinstance(value, float):
                 inexact = True
                 value = Fraction(value)
             if value:
                 outer_entries[(k,)] = value
         if self._outer is None:
-            self._outer = NormEngine(space.outer, self.caps)
+            self._outer = NormEngine(self.space.outer, self.caps)
         # part norms are nonzero Fractions by now, so the outer vector
         # is canonical as built
         value = self._outer._norm(SparseVec._clean(outer_entries, 1))
@@ -470,6 +520,13 @@ class NormEngine:
         if k not in self._inner:
             self._inner[k] = NormEngine(space.inner_at(k), self.caps)
         return self._inner[k]
+
+
+def _difference(x: Optional[SparseVec], y: Optional[SparseVec]) -> SparseVec:
+    """x - y, where None stands for a zero part."""
+    if x is None:
+        return -y
+    return x if y is None else x - y
 
 
 # -- norming set of the Tsirelson norm ---------------------------------------

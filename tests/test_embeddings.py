@@ -1,6 +1,7 @@
 """Embedding constructions, distortion measurement, tree branches,
 finite-linfty constants, and plegma completion."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,10 @@ from banachlab.dual import dual_norm
 from banachlab.embeddings import (
     ArrayEmbed,
     Prop73,
+    XpqBranch,
+    ambient_space,
     array_embed,
+    distortion_pairs,
     ell_infty_equivalence,
     embed,
     is_plegma,
@@ -27,7 +31,7 @@ from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import hamming_distance
 from banachlab.norms import NormEngine, lp_norm
 from banachlab.oracles import brute_force_tsirelson
-from banachlab.spaces import parse_space
+from banachlab.spaces import parse_space, register_gauge
 from banachlab.vectors import SparseVec, parse_vector, unit
 
 F = Fraction
@@ -154,10 +158,98 @@ class TestDistortion:
             "pairs": 17955,
         }
 
+    def test_xpq_memory_stays_below_a_memo_on_every_summand(self):
+        # 3,486 pairs; the pair memo covers only summands over T, T*, M
+        # and S(f), and a memo on the nested sums of the tree would keep
+        # a part difference per pair (about 0.6 MiB at this n)
+        spec = XpqBranch(F(2), F(1), 3)
+        tracemalloc.start()
+        try:
+            report = measure_distortion(spec, "hamming", 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20
+        assert report.pairs == 3486 and report.distortion == 3
+
     def test_report_shape(self):
         report = measure_distortion(Prop73(F(1), 1), "johnson", 4)
         data = report.to_dict()
         assert set(data) == {"lower", "upper", "distortion", "argmin", "argmax", "pairs"}
+
+
+def _cancelling_array():
+    """A 2-row array into sum(c0, repeat(T*)) whose images miss summands,
+    and where x^(2)_{2m+2}, for even m, cancels the summand-1 part of
+    x^(1)_{2m-1}, so the image of (m - 1, m) has no part in summand 1."""
+    space = parse_space("sum(c0,repeat(T*))")
+    inner = NormEngine(parse_space("T*"))
+
+    def part(s, vec):
+        vec = (1 / inner.norm(vec)) * vec
+        return SparseVec({(s,) + p: c for p, c in vec.items()})
+
+    u = {m: unit(m) + F(1, 2) * unit(m + 2) - F(1, 3) * unit(2 * m + 3) for m in range(1, 7)}
+    x1 = {m: part(1, u[m]) if m % 2 else part(2, u[m]) + part(4, unit(m)) for m in range(1, 7)}
+    array = {(1, 2 * m + 1): x1[m] for m in range(1, 7)}
+    for m in range(1, 7):
+        array[(2, 2 * m + 2)] = part(3, u[m]) - x1[m - 1] if m % 2 == 0 else part(2, u[m])
+    return ArrayEmbed(array, 2, space)
+
+
+def _gauge_array():
+    """Unit vectors e_{i.m} of sum(lpn(1,2), indexed(S(pairgauge#))):
+    summand 1 weighs families by 1 and summand 2 by log2(1 + l), so the
+    same pair of parts has two different norms in the two summands."""
+    register_gauge("pairgauge1", lambda l: 1.0)
+    register_gauge("pairgauge2", lambda l: math.log2(1 + l))
+    space = parse_space("sum(lpn(1,2),indexed(S(pairgauge#)))")
+    array = {(i, 2 * m + i): unit((i, m)) for i in (1, 2) for m in range(1, 7)}
+    return ArrayEmbed(array, 2, space)
+
+
+PAIR_CASES = {
+    "prop73-p1": lambda: Prop73(F(1), 2),
+    "prop73-p2": lambda: Prop73(F(2), 2),
+    "prop73-p3/2": lambda: Prop73(F(3, 2), 3),
+    "xpq-p2-q1-k3": lambda: XpqBranch(F(2), F(1), 3),
+    "xpq-p3-qinf-k2": lambda: XpqBranch(F(3), None, 2),
+    "array-cancelling": _cancelling_array,
+    "array-indexed-gauges": _gauge_array,
+    "array-depth1": lambda: ArrayEmbed(
+        {(i, 2 * m + i): unit(m + i) for i in (1, 2) for m in range(1, 7)}, 2, parse_space("T*")
+    ),
+}
+
+
+class TestPairNorms:
+    """`distortion_pairs` splits each image into summand parts once; its
+    value at every pair must be the norm of the built difference, with
+    the same type, so float lp sums stay bit-identical."""
+
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_pair_path_matches_the_built_difference(self, case):
+        spec = PAIR_CASES[case]()
+        engine = NormEngine(ambient_space(spec))
+        n = 6
+        count = 0
+        for a, b, _, value in distortion_pairs(spec, "hamming", n):
+            want = engine.norm(embed(spec, a) - embed(spec, b))
+            assert (value, type(value)) == (want, type(want)), (a, b)
+            count += 1
+        assert count == math.comb(math.comb(n, spec.k), 2)
+
+    def test_cancelling_array_has_the_cases_it_names(self):
+        spec = _cancelling_array()
+        images = [embed(spec, m) for m in combinations(range(1, 7), 2)]
+        summands = [set(x.leading_groups()) for x in images]
+        assert embed(spec, (1, 2)).leading_groups().keys() == {3}
+        assert any(len(s) < 4 for s in summands) and set().union(*summands) == {1, 2, 3, 4}
+
+    def test_gauge_summands_differ_on_equal_parts(self):
+        spec = _gauge_array()
+        values = [e.norm(unit(1) - unit(2)) for e in (NormEngine(spec.space.inner_at(k)) for k in (1, 2))]
+        assert values[0] != values[1]
 
 
 class TestXpqBranches:
