@@ -16,7 +16,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
 from .dual import dual01_pool
@@ -71,43 +71,6 @@ def _check_sampled(k: int, samples: int) -> None:
 # -- block inequalities in the dual norm --------------------------------
 
 
-def _max_family_ratio(groups: Iterable[tuple], caps: Caps):
-    """Max of ||1_union|| / max_j ||1_part_j|| in the dual norm over
-    (union, parts) pairs of 0/1 families, given as (weight, families)
-    groups in which each family counts `weight` times; returns the max,
-    the parts of the first family attaining it (None if none exceeds 0)
-    and the weighted family count.  The 0/1 dual norms come from one
-    `dual01_pool`, through a memo of their integer numerator and
-    denominator in front of it.  The ratios are compared as integer
-    pairs, cross-multiplied (every dual norm here is positive); only the
-    maximum becomes a `Fraction`."""
-    dual01 = dual01_pool(caps)
-    values: dict[tuple, tuple[int, int]] = {}
-
-    def solve(subset: tuple) -> tuple[int, int]:
-        value = dual01(subset)
-        pair = values[subset] = (value.numerator, value.denominator)
-        return pair
-
-    best_num, best_den = 0, 1
-    witness = None
-    count = 0
-    for weight, families in groups:
-        for union, parts in families:
-            count += weight
-            total_num, total_den = values.get(union) or solve(union)
-            top_num, top_den = 0, 1
-            for part in parts:
-                num, den = values.get(part) or solve(part)
-                if num * top_den > top_num * den:
-                    top_num, top_den = num, den
-            num, den = total_num * top_den, total_den * top_num
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                witness = parts
-    return Fraction(best_num, best_den), witness, count
-
-
 def _union_class(union: tuple) -> tuple:
     """min(u_i, |U| - i + 1), one point looser than the `dual01_pool` classes."""
     return tuple(min(p, len(union) + 1 - i) for i, p in enumerate(union))
@@ -140,44 +103,53 @@ def _blocks(union: tuple, variant: str) -> Iterator[list]:
                     yield [union[:k], *rest]
 
 
-def _disjoint_families(positions: Sequence[int], n: int) -> Iterator[tuple]:
-    """Every family of n disjoint nonempty parts of `positions`, some
-    positions unused, in the lexicographic order of its restricted-growth
-    labels (0 = unused, part j first appears after part j-1).
+def _stirling2(m: int, n: int) -> int:
+    """S(m, n): the partitions of m points into n nonempty blocks."""
+    row = [1] + [0] * n  # S(i, 0..n), from i = 0
+    for _ in range(m):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, n + 1)]
+    return row[n]
 
-    The labels step like an odometer: the rightmost label that can grow
-    and still leave room for the labels not yet used grows by one, and
-    the labels after it restart at their least completion, zeros and
-    then the unused labels in order.  The union and the parts are lists
-    kept in step, so a step touches only the positions it relabels."""
+
+def _max_disjoint_ratio(positions: tuple, n: int, norm: Callable[[tuple], Fraction]):
+    """Max of norm(union) / max_j norm(part_j) over the families of n
+    disjoint nonempty parts of `positions`, and the parts of the first
+    family attaining it, in the lexicographic order of the labels of the
+    positions (0 = unused; label j first appears after label j - 1).
+
+    The walk is depth first in that order, on a set function `norm`
+    monotone under inclusion.  Below a node, each union lies inside used
+    + rest (the positions labelled so far and those not yet labelled) and
+    each part contains its current points, so the node is pruned when
+    norm(used + rest) / max_j norm(current part j) is at most the best
+    ratio: only ties and worse families go.  At a leaf that bound is the
+    family's ratio.  The recursion is len(positions) + 1 deep, at most
+    caps.dual + 1 in `estimate_dm`."""
     m = len(positions)
-    if m < n:
-        return
-    labels = [0] * (m - n) + list(range(1, n + 1))
-    top = [0] * (m - n + 1) + list(range(1, n + 1))  # top[i] = max(labels[:i])
-    used = list(positions[m - n :])
-    parts = [None] + [[p] for p in used]
-    while True:
-        yield tuple(used), [tuple(part) for part in parts[1:]]
-        for i in range(m - 1, -1, -1):
-            label = labels[i] + 1
-            seen = max(top[i], label)
-            if label <= min(top[i] + 1, n) and m - 1 - i >= n - seen:
-                break
-        else:
+    parts: list[list] = [[] for _ in range(n)]
+    best, witness = Fraction(0), None
+
+    def walk(i: int, used: tuple, opened: int, top: Fraction) -> None:
+        nonlocal best, witness
+        if n - opened > m - i:  # too few positions left to open every label
             return
-        for old in labels[i:]:
-            if old:
-                parts[old].pop()
-                used.pop()
-        fresh = list(range(seen + 1, n + 1))
-        zeros = m - 1 - i - len(fresh)
-        labels[i:] = [label] + [0] * zeros + fresh
-        top[i + 1 :] = [seen] * (zeros + 1) + fresh
-        for p, new in zip(positions[i:], labels[i:]):
-            if new:
-                parts[new].append(p)
-                used.append(p)
+        if top:
+            bound = norm(used + positions[i:]) / top
+            if bound <= best:
+                return
+            if i == m:
+                best, witness = bound, [tuple(part) for part in parts]
+                return
+        walk(i + 1, used, opened, top)
+        for label in range(min(opened + 1, n)):
+            part = parts[label]
+            part.append(positions[i])
+            walk(i + 1, used + (positions[i],), max(opened, label + 1), max(top, norm(tuple(part))))
+            part.pop()
+
+    walk(0, (), 0, Fraction(0))
+    del walk  # its self-reference would keep `norm` alive until a cyclic collection
+    return best, witness
 
 
 def verify_block_c0(
@@ -199,7 +171,8 @@ def verify_block_c0(
     n <= c'_0; and if x_2 starts at u_k, n - 1 <= |U| - k, so n <= u_k
     is n <= c'_k.  The first union attaining the maximum is the first of
     its class, so the witness is the first attaining family of the full
-    enumeration.
+    enumeration.  The dual norms are kept as integer pairs and the
+    ratios cross-multiplied; only the maximum becomes a `Fraction`.
     """
     caps = caps or get_caps()
     if variant not in ("strict", "relaxed"):
@@ -207,17 +180,34 @@ def verify_block_c0(
     _require_positive("max_support", max_support)
     caps.check("dual", max_support)
     bound = Fraction(2) if variant == "strict" else Fraction(3)
-    groups = (
-        (size, ((union, parts) for parts in _blocks(union, variant)))
-        for size, union in _union_classes(max_support)
-    )
-    best, parts, families = _max_family_ratio(groups, caps)
+    dual01 = dual01_pool(caps)
+    values: dict[tuple, tuple[int, int]] = {}
+
+    def solve(subset: tuple) -> tuple[int, int]:
+        value = dual01(subset)
+        pair = values[subset] = (value.numerator, value.denominator)
+        return pair
+
+    best_num, best_den, witness, families = 0, 1, None, 0
+    for size, union in _union_classes(max_support):
+        total_num, total_den = values.get(union) or solve(union)
+        for parts in _blocks(union, variant):
+            families += size
+            top_num, top_den = 0, 1
+            for part in parts:
+                num, den = values.get(part) or solve(part)
+                if num * top_den > top_num * den:
+                    top_num, top_den = num, den
+            num, den = total_num * top_den, total_den * top_num
+            if num * best_den > best_num * den:
+                best_num, best_den, witness = num, den, parts
+    best = Fraction(best_num, best_den)
     return VerifierReport(
         lemma=f"block-c0-{variant}",
         params={"max_support": max_support, "variant": variant},
         samples=families,
         max_ratio=best,
-        witness={"blocks": [list(part) for part in parts]},
+        witness={"blocks": [list(part) for part in witness]},
         passed=bool(best <= bound),
         bound_claimed=str(bound),
     )
@@ -229,19 +219,23 @@ def estimate_dm(
     """Empirical lower bound on the disjoint-support constant: max of
     ||sum x_k|| / max ||x_k|| over families of n disjoint nonempty 0/1
     vectors supported in [n, max_support].  The constant has no known
-    numeric value, so the outcome is reported, not asserted."""
+    numeric value, so the outcome is reported, not asserted.  The
+    families are the partitions of a subset of the m = max_support - n + 1
+    positions into n blocks: sum_j C(m, j) S(j, n) = S(m + 1, n + 1) of
+    them.  The 0/1 dual norms are monotone under inclusion, as the basis
+    is 1-unconditional, so `_max_disjoint_ratio` may prune its walk."""
     caps = caps or get_caps()
     if n < 1:
         raise InputError("n must be >= 1")
-    positions = range(n, max_support + 1)
-    caps.check("dual", len(positions))  # every LP and the enumeration span these
+    positions = tuple(range(n, max_support + 1))
+    caps.check("dual", len(positions))  # every LP and the walk's depth span these
     if len(positions) < n:
         raise InputError(f"no family of {n} disjoint sets fits in [{n}, {max_support}]")
-    best, parts, families = _max_family_ratio(((1, _disjoint_families(positions, n)),), caps)
+    best, parts = _max_disjoint_ratio(positions, n, dual01_pool(caps))
     return VerifierReport(
         lemma="dm",
         params={"n": n, "max_support": max_support},
-        samples=families,
+        samples=_stirling2(len(positions) + 1, n + 1),
         max_ratio=best,
         witness={"parts": [list(part) for part in parts]},
         passed="reported",
@@ -641,6 +635,8 @@ def spreading_witness(
     `shift` components along the space: an upper-bound witness for the
     spreading-model constant, never a proof of the limit statement."""
     caps = caps or get_caps()
+    if not 1 <= k <= 12:  # `ell_infty_equivalence` takes 1 to 12 vectors
+        raise InputError(f"k must be between 1 and 12, got {k}")
     if shift < 0:
         raise InputError(f"shift must be >= 0, got {shift}")
     blocks = _named_blocks(space, block_gen, k, shift, caps)

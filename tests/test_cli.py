@@ -273,6 +273,8 @@ class TestExitCodes:
          "embedding 'xpq' has no parameter 'w'"),
         (["distortion", "--embedding", "prop73:p=1,k=2,zzz=4", "--n", "4"],
          "embedding 'prop73' has no parameter 'zzz'"),
+        (["verify", "spreading", "--k", "1000000"], "k must be between 1 and 12, got 1000000"),
+        (["verify", "spreading", "--k", "-1"], "k must be between 1 and 12, got -1"),
     ])
     def test_bad_size_is_named_as_given(self, argv, message, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -1,7 +1,7 @@
 """The shared scans of the verifiers and embeddings: pinned reports,
-the restricted-growth family generator, the sign-sum maximum, the
-union classes of the block scan and the class-pooled 0/1 dual LPs, each
-against the straightforward route it replaced."""
+the pruned walk over disjoint families and its count, the sign-sum
+maximum, the union classes of the block scan and the class-pooled 0/1
+dual LPs, each against the straightforward route it replaced."""
 
 import gc
 import random
@@ -23,7 +23,8 @@ from banachlab.spaces import parse_space
 from banachlab.vectors import SparseVec, unit
 from banachlab.verifiers import (
     _blocks,
-    _disjoint_families,
+    _max_disjoint_ratio,
+    _stirling2,
     _union_class,
     _union_classes,
     c0_sampled_report,
@@ -258,15 +259,22 @@ def _all_block_families(max_support, variant):
                     yield subset, parts
 
 
+def _first_max(families, norm):
+    """The max of norm(union) / max_j norm(part_j) over (union, parts)
+    pairs, the parts of the first pair attaining it and the pair count."""
+    best, witness, count = F(0), None, 0
+    for union, parts in families:
+        count += 1
+        ratio = norm(union) / max(map(norm, parts))
+        if ratio > best:
+            best, witness = ratio, [tuple(part) for part in parts]
+    return best, witness, count
+
+
 @pytest.mark.parametrize("variant", ["strict", "relaxed"])
 @pytest.mark.parametrize("max_support", [9, 10])
 def test_block_c0_matches_the_plain_enumeration(max_support, variant):
-    best, witness, count = F(0), None, 0
-    for union, parts in _all_block_families(max_support, variant):
-        count += 1
-        ratio = _cold01(union) / max(map(_cold01, parts))
-        if ratio > best:
-            best, witness = ratio, parts
+    best, witness, count = _first_max(_all_block_families(max_support, variant), _cold01)
     report = verify_block_c0(max_support, variant, Caps())
     assert (report.samples, report.max_ratio) == (count, best)
     assert report.witness == {"blocks": [list(part) for part in witness]}
@@ -299,33 +307,44 @@ def test_union_classes_tile_the_subsets():
 @pytest.mark.parametrize("kind, a, b", [
     ("block", 9, "strict"), ("block", 9, "relaxed"), ("dm", 2, 9), ("dm", 3, 9),
 ], ids=["block-9-strict", "block-9-relaxed", "dm-2-9", "dm-3-9"])
-def test_pool_matches_cold_lp_in_family_order(kind, a, b):
+def test_pool_matches_cold_lp_in_family_order(kind, a, b, monkeypatch):
     # each verifier's own order of queries is replayed, the order in
     # which its scan reaches each class LP
+    pooled = dual01_pool(Caps())
     if kind == "block":
         scan = ((union, parts) for _, union in _union_classes(a) for parts in _blocks(union, b))
+        asked = [subset for union, parts in scan for subset in (union, *parts)]
     else:
-        scan = _disjoint_families(range(a, b + 1), a)
-    pooled = dual01_pool(Caps())
-    for union, parts in scan:
-        for subset in (union, *parts):
-            assert pooled(subset) == _cold01(subset), subset
+        asked = []  # the subsets the walk of `estimate_dm` asks for, in order
+        monkeypatch.setattr(
+            verifiers, "dual01_pool", lambda caps: lambda subset: asked.append(subset) or pooled(subset)
+        )
+        estimate_dm(a, b, Caps())
+        assert asked
+    for subset in asked:
+        assert pooled(subset) == _cold01(subset), subset
+
+
+def _freed_by_refcounts(make, use):
+    """Whether the object make() returns is freed, after use(object), by
+    reference counting alone, with the cyclic collector off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        obj = make()
+        use(obj)
+        alive = weakref.ref(obj)
+        del obj
+        return alive() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pool_memo_dies_with_the_pool():
     # a self-recursive closure would hold the memo in a reference cycle,
     # alive after the verifier returns until a cyclic collection
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        pooled = dual01_pool(Caps())
-        pooled(tuple(range(1, 7)))
-        alive = weakref.ref(pooled)
-        del pooled
-        assert alive() is None
-    finally:
-        if enabled:
-            gc.enable()
+    assert _freed_by_refcounts(lambda: dual01_pool(Caps()), lambda pooled: pooled(tuple(range(1, 7))))
 
 
 def test_infeasible_warm_start_is_refused():
@@ -378,11 +397,44 @@ def _product_and_reject(positions, n):
         yield tuple(sorted(p for part in parts for p in part)), parts
 
 
+def _weights(rng, positions, kind):
+    """A seeded monotone set function on tuples of `positions`: the sum
+    or the max of positive weights."""
+    weight = {p: F(rng.randint(1, 9), rng.randint(1, 4)) for p in positions}
+    total = sum if kind == "sum" else max
+    return lambda subset: total(weight[p] for p in subset)
+
+
+@pytest.mark.parametrize("kind", ["sum", "max"])  # max: every ratio 1, all ties
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_disjoint_families_match_product_and_reject(n):
-    for m in range(0, 9):
-        positions = list(range(n, n + m))
-        assert list(_disjoint_families(positions, n)) == list(_product_and_reject(positions, n))
+def test_walk_matches_product_and_reject(n, kind):
+    rng = random.Random(n)
+    for m in range(0, 8):
+        positions = tuple(range(n, n + m))
+        for _ in range(4 if m > 5 else 8):
+            norm = _weights(rng, positions, kind)
+            best, witness, count = _first_max(_product_and_reject(positions, n), norm)
+            assert _max_disjoint_ratio(positions, n, norm) == (best, witness), (m, n)
+            assert _stirling2(m + 1, n + 1) == count, (m, n)
+
+
+@pytest.mark.parametrize("n, max_support", [(1, 11), (2, 11), (3, 11), (4, 11)])
+def test_estimate_dm_matches_product_and_reject(n, max_support):
+    caps = Caps(dual=11)
+    pooled = cache(dual01_pool(caps))
+    positions = tuple(range(n, max_support + 1))
+    best, witness, count = _first_max(_product_and_reject(positions, n), pooled)
+    report = estimate_dm(n, max_support, caps)
+    assert (report.max_ratio, report.samples) == (best, count)
+    assert report.witness == {"parts": [list(part) for part in witness]}
+
+
+def test_walk_keeps_no_reference_to_its_norm():
+    # the walk's self-reference, left in place, would hold the pool in a
+    # reference cycle
+    assert _freed_by_refcounts(
+        lambda: dual01_pool(Caps()), lambda pooled: _max_disjoint_ratio((2, 3, 4, 5, 6), 2, pooled)
+    )
 
 
 def _all_patterns(engine, vectors):

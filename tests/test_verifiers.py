@@ -314,6 +314,16 @@ class TestSpreading:
         with pytest.raises(InputError):
             spreading_witness(parse_space("T"), "mystery", 2, 4)
 
+    @pytest.mark.parametrize("k", [0, -1, 13, 10**6])
+    @pytest.mark.parametrize("blocks", ["unit", "doubleton"])
+    def test_k_is_checked_before_any_block_is_built(self, k, blocks, monkeypatch):
+        def building(*args):
+            raise AssertionError("blocks built before k was checked")
+
+        monkeypatch.setattr(verifiers, "_named_blocks", building)
+        with pytest.raises(InputError, match=f"^k must be between 1 and 12, got {k}$"):
+            spreading_witness(parse_space("T"), blocks, k, 4)
+
     def test_report(self):
         report = spreading_report(parse_space("T"), "unit", 2, 4, space_text="T")
         assert report.passed == "reported"
