@@ -64,6 +64,8 @@ def metric_distance(
 ) -> Callable[[KSubset, KSubset], Fraction | float]:
     """The distance on [N]^k of a metric kind: hamming (as a Fraction),
     johnson, or d_e, the metric generated by the depth-1 `generator`."""
+    if kind in ("hamming", "johnson") and generator is not None:
+        raise InputError(f"metric {kind} takes no generator space")
     if kind == "hamming":
         return lambda a, b: Fraction(hamming_distance(a, b))
     if kind == "johnson":

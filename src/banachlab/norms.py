@@ -390,7 +390,20 @@ class NormEngine:
     across the vectors of a scan.  The top level of a `Sum` and the lp
     spaces evaluate directly: a scan seldom hands the top level one
     vector twice, and an lp norm of a few terms costs less than hashing
-    its key.
+    its key.  M and S(f) key their memo by the vector, T and T* by the
+    clipped-position class of x: the (min(s_i, m - i), |x_i|) over the
+    support s_0 < ... < s_{m-1}, m = |supp x|.  On a miss they evaluate
+    x itself.  Both norms are constant on a class.  In T, `_TsirelsonDP`
+    reads |x_i| only, and positions only through the part count
+    min(pos[s], j - s + 1) = min(min(pos[s], m - s), j - s + 1) of a
+    start s in [i..j] (the lowest count it fills, a bound from pos[0],
+    skips only counts no family reaches).  In T*, the argument of
+    `dual01_pool`, which reads no coefficient, maps the norming
+    functionals on one support of a class onto those on another, term
+    by term, so the two LPs are one program; and +-K_S is closed under
+    coordinate sign flips (flip e_p at the leaves), so the polytope
+    {y : f(y) <= 1, f in +-K_S} is too, and the signs of x do not
+    change the LP's value.
 
     A distortion scan takes ||f(a) - f(b)|| over every pair without
     building f(a) - f(b): `_split` cuts each image of a `Sum` into its
@@ -403,6 +416,10 @@ class NormEngine:
     parts the images have in summand k.  Over lp or a nested `Sum` it
     takes the difference of the two parts and recurses, as `_sum_norm`
     does; a memo there would grow with the pair count.
+
+    The outer norm of a `Sum` takes the nonzero part norms in increasing
+    k.  An lp outer gets them straight through `lp_norm`, as they are
+    already >= 0; other outers get them as a vector through their engine.
 
     `norm` is the validating edge: it checks x against the space once
     and hands it to the unchecked `_norm`.  A valid vector of a `Sum`
@@ -417,9 +434,8 @@ class NormEngine:
     def __init__(self, space: SpaceExpr, caps: Optional[Caps] = None):
         self.space = space
         self.caps = caps or get_caps()
-        self._memo: Optional[dict[SparseVec, Fraction | float]] = (
-            {} if isinstance(space, _COSTLY) else None
-        )
+        self._memo: Optional[dict] = {} if isinstance(space, _COSTLY) else None
+        self._by_class = isinstance(space, (Tsirelson, TsirelsonDual))
         self._outer: Optional[NormEngine] = None
         self._inner: dict[int, NormEngine] = {}
         # for `_split` and `_pair_norm` over a `Sum`
@@ -437,9 +453,13 @@ class NormEngine:
         memo = self._memo
         if memo is None:
             return self._evaluate(x)
-        value = memo.get(x)
+        key = x
+        if self._by_class:
+            m = len(x)
+            key = tuple((min(p, m - i), abs(v)) for i, ((p,), v) in enumerate(sorted(x.items())))
+        value = memo.get(key)
         if value is None:
-            value = memo[x] = self._evaluate(x)
+            value = memo[key] = self._evaluate(x)
         return value
 
     def _evaluate(self, x: SparseVec):
@@ -481,7 +501,7 @@ class NormEngine:
         `_sum_norm` gives, without building x - y."""
         space, memo = self.space, self._pairs
         part_norms = {}
-        for k in sorted(a.keys() | b.keys()):
+        for k in a.keys() if a.keys() == b.keys() else sorted(a.keys() | b.keys()):
             part_a = a.get(k)
             part_b = b.get(k)
             if part_a is part_b:
@@ -502,18 +522,22 @@ class NormEngine:
         increasing k.  Float inner norms enter as exact `Fraction`s, and
         the result is a float if any of them was one."""
         inexact = False
-        outer_entries = {}
+        entries = {}
         for k, value in part_norms.items():
             if isinstance(value, float):
                 inexact = True
                 value = Fraction(value)
             if value:
-                outer_entries[(k,)] = value
-        if self._outer is None:
-            self._outer = NormEngine(self.space.outer, self.caps)
-        # part norms are nonzero Fractions by now, so the outer vector
-        # is canonical as built
-        value = self._outer._norm(SparseVec._clean(outer_entries, 1))
+                entries[k] = value
+        outer = self.space.outer
+        if isinstance(outer, (Lp, LpN)):
+            value = lp_norm(entries.values(), outer.p)
+        else:
+            if self._outer is None:
+                self._outer = NormEngine(outer, self.caps)
+            # part norms are nonzero Fractions by now, so the outer vector
+            # is canonical as built
+            value = self._outer._norm(SparseVec._clean({(k,): v for k, v in entries.items()}, 1))
         return float(value) if inexact and isinstance(value, Fraction) else value
 
     def _inner_engine(self, space: Sum, k: int) -> "NormEngine":

@@ -252,6 +252,12 @@ class TestExitCodes:
         ["diameter", "--space", "l1", "--k", str(POINT_BUDGET + 1)],
     ]
     BAD_INPUTS += REFUSED_INPUTS
+    # a generator for a metric that reads none (appended after the
+    # refused rows, so that every earlier row keeps its id)
+    BAD_INPUTS += [
+        ["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "hamming:T", "--n", "4"],
+        ["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "johnson:lp(2)", "--n", "4"],
+    ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
     def test_bad_input_is_one_error_line(self, argv, capsys, monkeypatch):
@@ -275,6 +281,8 @@ class TestExitCodes:
          "embedding 'prop73' has no parameter 'zzz'"),
         (["verify", "spreading", "--k", "1000000"], "k must be between 1 and 12, got 1000000"),
         (["verify", "spreading", "--k", "-1"], "k must be between 1 and 12, got -1"),
+        (["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "hamming:T", "--n", "4"],
+         "metric hamming takes no generator space"),
     ])
     def test_bad_size_is_named_as_given(self, argv, message, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -216,6 +216,12 @@ PAIR_CASES = {
     "xpq-p3-qinf-k2": lambda: XpqBranch(F(3), None, 2),
     "array-cancelling": _cancelling_array,
     "array-indexed-gauges": _gauge_array,
+    # the outer T goes through its own engine, not straight to lp_norm
+    "array-T-outer": lambda: ArrayEmbed(
+        {(i, 2 * m + i): unit((i, m)) + F(i, 3) * unit((3, m + i)) for i in (1, 2) for m in range(1, 7)},
+        2,
+        parse_space("sum(T,repeat(T*))"),
+    ),
     "array-depth1": lambda: ArrayEmbed(
         {(i, 2 * m + i): unit(m + i) for i in (1, 2) for m in range(1, 7)}, 2, parse_space("T*")
     ),

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import (
     AdmissibleFamily,
@@ -445,6 +446,54 @@ class TestEngineDispatch:
 
     def test_zero_vector(self):
         assert NormEngine(parse_space("T")).norm(SparseVec()) == 0
+
+
+def _class_mates(rng, x):
+    """Three copies of x in its clipped-position class: the support
+    points s_i >= m - i (a suffix) move to fresh increasing positions
+    that stay >= m - i, and every coefficient gets a fresh sign."""
+    items = sorted(x.items())
+    positions = [p for (p,), _ in items]
+    m = len(positions)
+    t = next((i for i, p in enumerate(positions) if p >= m - i), m)
+    low = max(m - t, positions[t - 1] + 1 if t else 1)
+    mates = []
+    for _ in range(3):
+        moved = positions[:t] + sorted(rng.sample(range(low, low + 12), m - t))
+        mates.append(SparseVec({(p,): rng.choice((1, -1)) * v for p, (_, v) in zip(moved, items)}))
+    return mates
+
+
+class TestClassKeyedMemo:
+    """T and T* key their memo by the clipped-position class.  Each is
+    checked against its evaluator without a memo, never against a second
+    engine, which would share a wrong key."""
+
+    EVALUATORS = {"T": tsirelson_norm, "T*": lambda x: dual_norm(x).value}
+
+    @pytest.mark.parametrize("name", sorted(EVALUATORS))
+    def test_engine_matches_the_memo_free_evaluator(self, name):
+        engine = NormEngine(parse_space(name))
+        evaluate = self.EVALUATORS[name]
+        rng = random.Random(20)
+        for _ in range(40):
+            support = rng.sample(range(1, 10), rng.randint(1, 6))
+            x = SparseVec({(p,): F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2))) for p in support})
+            # x moved one position right is in another class wherever
+            # some s_i < m - i: a key clipped too low can merge the two
+            for y in (SparseVec({(p + 1,): v for (p,), v in x.items()}), x):
+                assert engine.norm(y) == evaluate(y), y
+            entries = len(engine._memo)
+            for mate in _class_mates(rng, x):
+                assert engine.norm(mate) == evaluate(mate), (x, mate)
+            assert len(engine._memo) == entries, x
+
+    @pytest.mark.parametrize("name, values", [("T", (1, F(3, 2))), ("T*", (3, 2))])
+    def test_positions_are_clipped_at_m_minus_i(self, name, values):
+        # classes (2, 2, 1) and (3, 2, 1), which a key clipped at
+        # m - i - 1, or one of the |x_i| alone, would merge
+        engine = NormEngine(parse_space(name))
+        assert (engine.norm(ones((2, 3, 4))), engine.norm(ones((3, 4, 5)))) == values
 
 
 SPACES = ["l1", "c0", "T", "M", "T*"]
