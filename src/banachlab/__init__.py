@@ -8,7 +8,7 @@ quantitative block inequalities.
 """
 
 from .caps import Caps, get_caps, parse_caps
-from .dual import LPResult, dual_norm, verify_duality
+from .dual import LPResult, dual_norm
 from .embeddings import (
     ArrayEmbed,
     DistortionReport,
@@ -33,11 +33,9 @@ from .hamming import (
     parse_ksubset,
 )
 from .norms import (
-    AdmissibleFamily,
     Functional,
     NormEngine,
     gauge_norm,
-    is_admissible,
     lp_norm,
     modified_norm,
     tsirelson_norm,
@@ -66,7 +64,6 @@ from .spaces import (
 from .vectors import (
     Rational,
     SparseVec,
-    finset_precedes,
     format_vector,
     inner_product,
     parse_rational,

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 from .caps import Caps, get_caps
 from .errors import InputError
-from .norms import Functional, NormEngine, tsirelson_norm_witness
+from .norms import Functional, tsirelson_norm_witness
 from .simplex import SimplexError, StandardFormSimplex
 from .vectors import SparseVec, inner_product, unit
 
@@ -195,12 +195,3 @@ class _Dual01Pool:
             self.memo[positions] = dual_norm(x, self.caps, start=start)
         return self.memo[positions]
 
-
-def verify_duality(x: SparseVec, y: SparseVec, caps: Optional[Caps] = None) -> bool:
-    """Exact check of <x, y> <= ||x||_T* ||y||_T."""
-    from .spaces import Tsirelson
-
-    caps = caps or get_caps()
-    pairing = inner_product(x, y)
-    bound = dual_norm(x, caps).value * NormEngine(Tsirelson(), caps).norm(y)
-    return pairing <= bound

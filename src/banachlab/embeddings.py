@@ -205,7 +205,7 @@ def distortion_pairs(
         norm = lambda x, y: engine._norm(x - y)
     for a, b in pairs:
         d = dist(a, b)
-        if d == 0:
+        if not d:
             raise InputError(f"metric vanishes on distinct points {a}, {b}")
         yield a, b, d, norm(images[a], images[b])
 
@@ -226,19 +226,28 @@ def distortion_report(
     pairs: Iterable[tuple[KSubset, KSubset, Fraction, Fraction | float]],
 ) -> DistortionReport:
     """Reduce (a, b, d(a, b), ||f(a) - f(b)||) tuples to the min and max
-    ratio, their first attaining pairs and the pair count."""
-    lower = upper = None
+    ratio, their first attaining pairs and the pair count.  A ratio is
+    compared as a cross-multiplied integer pair: (value, d) by numerators
+    and denominators when both are exact, else the float value / d by its
+    exact integer ratio, which compares as floats and `Fraction`s do."""
+    lower = upper = None  # (num, den, float ratio or None)
     argmin = argmax = None
     count = 0
     for a, b, d, value in pairs:
-        ratio = value / d
         count += 1
-        if lower is None or ratio < lower:
-            lower, argmin = ratio, (a, b)
-        if upper is None or ratio > upper:
-            upper, argmax = ratio, (a, b)
+        if isinstance(value, float) or isinstance(d, float):
+            ratio = value / d
+            num, den = ratio.as_integer_ratio()
+        else:
+            ratio = None
+            num, den = value.numerator * d.denominator, value.denominator * d.numerator
+        if lower is None or num * lower[1] < lower[0] * den:
+            lower, argmin = (num, den, ratio), (a, b)
+        if upper is None or num * upper[1] > upper[0] * den:
+            upper, argmax = (num, den, ratio), (a, b)
     if lower is None:
         raise InputError("need at least two points to measure distortion")
+    lower, upper = (Fraction(n, d) if r is None else r for n, d, r in (lower, upper))
     if lower == 0:
         raise InputError(f"embedding collapses the pair {argmin}")
     return DistortionReport(lower, upper, upper / lower, argmin, argmax, count)

@@ -7,6 +7,7 @@ of positions where they differ.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional
@@ -67,7 +68,8 @@ def metric_distance(
     if kind in ("hamming", "johnson") and generator is not None:
         raise InputError(f"metric {kind} takes no generator space")
     if kind == "hamming":
-        return lambda a, b: Fraction(hamming_distance(a, b))
+        fraction = lru_cache(maxsize=None)(Fraction)  # one object per distance
+        return lambda a, b: fraction(hamming_distance(a, b))
     if kind == "johnson":
         return johnson_distance
     if kind == "d_e":

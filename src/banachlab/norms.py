@@ -44,7 +44,7 @@ from functools import cached_property
 from itertools import combinations
 from math import inf, isinf, lcm
 from operator import add
-from typing import Iterable, Optional
+from typing import Optional
 
 from .caps import Caps, get_caps
 from .errors import InputError
@@ -62,32 +62,7 @@ from .spaces import (
 from .vectors import SparseVec, inner_product
 
 
-# -- admissible families ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdmissibleFamily:
-    """Successive nonempty finite sets E_1 < ... < E_n with n <= min(E_1)."""
-
-    parts: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
-            raise InputError("an admissible family needs n >= 2 parts")
-        if not is_admissible(self.parts):
-            raise InputError("parts are not successive-admissible")
-
-
-def is_successive(parts: Iterable[Iterable[int]]) -> bool:
-    parts = [sorted(p) for p in parts]
-    if any(not p for p in parts):
-        return False
-    return all(parts[i][-1] < parts[i + 1][0] for i in range(len(parts) - 1))
-
-
-def is_admissible(parts: Iterable[Iterable[int]]) -> bool:
-    parts = [sorted(p) for p in parts]
-    return is_successive(parts) and len(parts) <= parts[0][0]
+# -- families of successive sets ----------------------------------------
 
 
 def chunkings(seq: tuple, n: int):
@@ -406,20 +381,23 @@ class NormEngine:
     change the LP's value.
 
     A distortion scan takes ||f(a) - f(b)|| over every pair without
-    building f(a) - f(b): `_split` cuts each image of a `Sum` into its
-    summand parts once and interns them, so that equal parts in one
-    summand are one object, and `_pair_norm` works on two such splits.
-    It skips each summand whose two parts are the same object.  Where
-    the summand's engine memoizes, it keeps the inner norm of a differing
-    pair under (k, part of f(a), part of f(b)), so that memo holds at
-    most sum_k P_k (P_k - 1) entries, P_k being the number of distinct
-    parts the images have in summand k.  Over lp or a nested `Sum` it
-    takes the difference of the two parts and recurses, as `_sum_norm`
-    does; a memo there would grow with the pair count.
+    building f(a) - f(b).  `_split` cuts each image of a `Sum` into its
+    summand parts once, splits each part in a nested `Sum` in turn, and
+    interns the parts per summand (a split one by the identities of its
+    own parts), so equal parts are one object at every level.
+    `_pair_norm` descends only into summands whose parts differ.  It
+    memoizes under (k, part of f(a), part of f(b)) where the summand's
+    engine memoizes, at most P_k (P_k - 1) entries for P_k distinct
+    parts in summand k, and where a nested part (keyed by identity)
+    meets a missing one, at most 2 P_k; a memo on the other pairs would
+    grow with the pair count.  The summands of a `Repeat` share one
+    engine.
 
-    The outer norm of a `Sum` takes the nonzero part norms in increasing
-    k.  An lp outer gets them straight through `lp_norm`, as they are
-    already >= 0; other outers get them as a vector through their engine.
+    The outer norm of a `Sum` takes the part norms in increasing k.  An
+    lp outer with p = 1 or inf sums or maxes them in integers, each by
+    its exact integer ratio over a common denominator, so a float result
+    is the exact sum rounded once.  Other lp outers take them through
+    `lp_norm`, other outers as a vector through their engine.
 
     `norm` is the validating edge: it checks x against the space once
     and hands it to the unchecked `_norm`.  A valid vector of a `Sum`
@@ -439,8 +417,8 @@ class NormEngine:
         self._outer: Optional[NormEngine] = None
         self._inner: dict[int, NormEngine] = {}
         # for `_split` and `_pair_norm` over a `Sum`
-        self._parts: dict[tuple[int, SparseVec], SparseVec] = {}
-        self._pairs: dict[tuple[int, SparseVec, SparseVec], Fraction | float] = {}
+        self._parts: dict[tuple, SparseVec | dict] = {}
+        self._pairs: dict[tuple, Fraction | float] = {}
 
     def norm(self, x: SparseVec) -> Fraction | float:
         validate_vector(self.space, x)
@@ -488,61 +466,77 @@ class NormEngine:
             part_norms[k] = self._inner_engine(space, k)._norm(part)
         return self._outer_norm(part_norms)
 
-    def _split(self, x: SparseVec) -> dict[int, SparseVec]:
+    def _split(self, x: SparseVec) -> dict:
         """The parts of a valid vector of this `Sum` by summand, in
-        increasing k, each interned per summand for `_pair_norm`."""
-        if not x:
-            return {}
-        seen = self._parts
-        return {k: seen.setdefault((k, part), part) for k, part in x.leading_groups().items()}
+        increasing k, each interned per summand for `_pair_norm`.  A part
+        in a nested `Sum` is split in turn and interned as its split,
+        under its summand indices and the identities of its own parts."""
+        seen, split = self._parts, {}
+        for k, part in (x.leading_groups().items() if x else ()):
+            inner = self._inner_engine(self.space, k)
+            if isinstance(inner.space, Sum):
+                part = inner._split(part)
+                key = (k, *part.keys(), *map(id, part.values()))
+            else:
+                key = (k, part)
+            split[k] = seen.setdefault(key, part)
+        return split
 
-    def _pair_norm(self, a: dict[int, SparseVec], b: dict[int, SparseVec]):
+    def _pair_norm(self, a: dict, b: dict):
         """||x - y|| for the `_split`s a of x and b of y: the value
         `_sum_norm` gives, without building x - y."""
-        space, memo = self.space, self._pairs
+        space, memo, inner = self.space, self._pairs, self._inner
         part_norms = {}
         for k in a.keys() if a.keys() == b.keys() else sorted(a.keys() | b.keys()):
             part_a = a.get(k)
             part_b = b.get(k)
             if part_a is part_b:
                 continue
-            engine = self._inner_engine(space, k)
-            if engine._memo is None:
-                part_norms[k] = engine._norm(_difference(part_a, part_b))
-                continue
-            key = (k, part_a, part_b)
+            engine = inner.get(k) or self._inner_engine(space, k)
+            nested = isinstance(engine.space, Sum)
+            key = (k, id(part_a), id(part_b)) if nested else (k, part_a, part_b)
             value = memo.get(key)
             if value is None:
-                value = memo[key] = engine._norm(_difference(part_a, part_b))
+                if nested:
+                    value = engine._pair_norm(part_a or {}, part_b or {})
+                else:
+                    value = engine._norm(_difference(part_a, part_b))
+                if engine._memo is not None or nested and (part_a is None or part_b is None):
+                    memo[key] = value
             part_norms[k] = value
         return self._outer_norm(part_norms)
 
     def _outer_norm(self, part_norms: dict[int, Fraction | float]):
         """The outer norm of the inner norms by summand, given in
-        increasing k.  Float inner norms enter as exact `Fraction`s, and
-        the result is a float if any of them was one."""
-        inexact = False
-        entries = {}
-        for k, value in part_norms.items():
-            if isinstance(value, float):
-                inexact = True
-                value = Fraction(value)
-            if value:
-                entries[k] = value
+        increasing k; a float if any of them is one."""
+        values = list(part_norms.values())
         outer = self.space.outer
-        if isinstance(outer, (Lp, LpN)):
+        lp = isinstance(outer, (Lp, LpN))
+        if lp and len(values) == 1:
+            return values[0]
+        inexact = float in map(type, values)
+        if lp and (outer.p is None or outer.p == 1):
+            num, den, top = 0, 1, outer.p is None
+            for v in values:
+                n, d = v.as_integer_ratio()
+                num, den = max(num * d, n * den) if top else num * d + n * den, den * d
+            return num / den if inexact else Fraction(num, den)
+        entries = {(k,): Fraction(v) for k, v in part_norms.items() if v}
+        if lp:
             value = lp_norm(entries.values(), outer.p)
         else:
             if self._outer is None:
                 self._outer = NormEngine(outer, self.caps)
             # part norms are nonzero Fractions by now, so the outer vector
             # is canonical as built
-            value = self._outer._norm(SparseVec._clean({(k,): v for k, v in entries.items()}, 1))
+            value = self._outer._norm(SparseVec._clean(entries, 1))
         return float(value) if inexact and isinstance(value, Fraction) else value
 
     def _inner_engine(self, space: Sum, k: int) -> "NormEngine":
         if k not in self._inner:
-            self._inner[k] = NormEngine(space.inner_at(k), self.caps)
+            inner = space.inner_at(k)
+            same = (e for e in self._inner.values() if e.space is inner)
+            self._inner[k] = next(same, None) or NormEngine(inner, self.caps)
         return self._inner[k]
 
 

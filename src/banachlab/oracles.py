@@ -6,7 +6,9 @@ each fast path against them.  The set-family recursion
 `norming_set_max`) check the interval DP of `norms`; the dense-tableau
 LP over the whole norming set (`dual_norm_reference`) and the rational
 re-derivation of an LP basis (`decomposition_weight`) check the
-column-generation LP of `dual`.  The enumerations are exponential in
+column-generation LP of `dual`; the per-pair `Fraction` reduction
+(`distortion_report_reference`) checks the integer one of
+`embeddings.distortion_report`.  The enumerations are exponential in
 the support size, hence the `tsirelson` cap, and memoize per exact
 support in two module-level caches that grow with every support seen.
 """
@@ -21,6 +23,7 @@ from typing import Iterable, Optional
 
 from .caps import Caps, get_caps
 from .dual import LPResult
+from .embeddings import DistortionReport
 from .errors import InputError
 from .norms import Functional, chunkings, nonempty_subsets
 from .simplex import SimplexError, StandardFormSimplex
@@ -236,3 +239,24 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
                 factor = work[r][col]
                 work[r] = [work[r][k] - factor * work[col][k] for k in range(2 * n)]
     return [row[n:] for row in work]
+
+
+def distortion_report_reference(pairs) -> DistortionReport:
+    """Test oracle: the min and max of value / d over (a, b, d, value)
+    tuples by one `Fraction` (or float) division and two comparisons per
+    pair; the first pairs attaining them win."""
+    lower = upper = None
+    argmin = argmax = None
+    count = 0
+    for a, b, d, value in pairs:
+        ratio = value / d
+        count += 1
+        if lower is None or ratio < lower:
+            lower, argmin = ratio, (a, b)
+        if upper is None or ratio > upper:
+            upper, argmax = ratio, (a, b)
+    if lower is None:
+        raise InputError("need at least two points to measure distortion")
+    if lower == 0:
+        raise InputError(f"embedding collapses the pair {argmin}")
+    return DistortionReport(lower, upper, upper / lower, argmin, argmax, count)

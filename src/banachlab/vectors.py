@@ -208,14 +208,6 @@ def support_min_max(x: SparseVec) -> tuple[int, int]:
     return leading[0], leading[-1]
 
 
-def finset_precedes(E: Iterable[int], F: Iterable[int]) -> bool:
-    """The successive-order predicate E < F, i.e. max(E) < min(F)."""
-    E, F = set(E), set(F)
-    if not E or not F:
-        raise InputError("successive order is undefined for empty sets")
-    return max(E) < min(F)
-
-
 # -- text format -------------------------------------------------------
 #
 # Comma-separated `path:value` terms, e.g. `1:1,2:1/2` (depth 1) or

@@ -17,6 +17,7 @@ from banachlab.embeddings import (
     ambient_space,
     array_embed,
     distortion_pairs,
+    distortion_report,
     ell_infty_equivalence,
     embed,
     is_plegma,
@@ -30,7 +31,7 @@ from banachlab.embeddings import (
 from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import hamming_distance
 from banachlab.norms import NormEngine, lp_norm
-from banachlab.oracles import brute_force_tsirelson
+from banachlab.oracles import brute_force_tsirelson, distortion_report_reference
 from banachlab.spaces import parse_space, register_gauge
 from banachlab.vectors import SparseVec, parse_vector, unit
 
@@ -160,8 +161,9 @@ class TestDistortion:
 
     def test_xpq_memory_stays_below_a_memo_on_every_summand(self):
         # 3,486 pairs; the pair memo covers only summands over T, T*, M
-        # and S(f), and a memo on the nested sums of the tree would keep
-        # a part difference per pair (about 0.6 MiB at this n)
+        # and S(f) and nested parts that the other image lacks, and a
+        # memo on the nested sums of the tree would keep a part
+        # difference per pair (about 0.6 MiB at this n)
         spec = XpqBranch(F(2), F(1), 3)
         tracemalloc.start()
         try:
@@ -208,6 +210,19 @@ def _gauge_array():
     return ArrayEmbed(array, 2, space)
 
 
+def _nested_array():
+    """A 2-row array into sum(lpn(1,2),repeat(sum(c0,repeat(T*)))) whose
+    images nest two sums.  x^(2)_{2m+2}, for even m, cancels the inner
+    summand 2 of x^(1)'s top part, so half the images lack it there."""
+    space = parse_space("sum(lpn(1,2),repeat(sum(c0,repeat(T*))))")
+    half = F(1, 2)
+    array = {(1, 2 * m + 1): unit((1, 1, m)) + half * unit((1, 2, 1)) for m in range(1, 7)}
+    for m in range(1, 7):
+        cancel = half * unit((2, 1, m)) - half * unit((1, 2, 1))
+        array[(2, 2 * m + 2)] = cancel if m % 2 == 0 else unit((2, 1, m))
+    return ArrayEmbed(array, 2, space)
+
+
 PAIR_CASES = {
     "prop73-p1": lambda: Prop73(F(1), 2),
     "prop73-p2": lambda: Prop73(F(2), 2),
@@ -221,6 +236,13 @@ PAIR_CASES = {
         {(i, 2 * m + i): unit((i, m)) + F(i, 3) * unit((3, m + i)) for i in (1, 2) for m in range(1, 7)},
         2,
         parse_space("sum(T,repeat(T*))"),
+    ),
+    "array-nested-cancelling": _nested_array,
+    # float l2 sums of T* parts at the inner level, under an l1 outer
+    "array-nested-l2": lambda: ArrayEmbed(
+        {(i, 2 * m + i): unit((1, m + i - 1, i)) for i in (1, 2) for m in range(1, 7)},
+        2,
+        parse_space("sum(lpn(1,2),repeat(sum(lp(2),repeat(T*))))"),
     ),
     "array-depth1": lambda: ArrayEmbed(
         {(i, 2 * m + i): unit(m + i) for i in (1, 2) for m in range(1, 7)}, 2, parse_space("T*")
@@ -245,6 +267,39 @@ class TestPairNorms:
             count += 1
         assert count == math.comb(math.comb(n, spec.k), 2)
 
+    # (space, x, y): parts that cancel at an inner level, an inner
+    # summand that one image lacks, and a top summand that one image
+    # lacks, under lp, c0 and l1 outers
+    NESTED = [
+        ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,1.2.3:1,2.1.1:1", "1.1.2:1,1.2.5:1/2,2.1.1:1"),
+        ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,1.3.4:-2,2.2.2:1", "1.1.2:1,2.2.2:1"),
+        ("sum(l1,repeat(sum(c0,repeat(T*))))", "1.1.2:1,1.3.4:1/3,2.1.1:1", "1.1.2:1,1.3.5:1/3"),
+        ("sum(lpn(3/2,2),repeat(sum(l1,repeat(T))))", "1.1.2:1,1.2.3:1,2.1.5:2", "1.1.2:1,2.1.5:2,2.2.2:1"),
+    ]
+
+    @pytest.mark.parametrize("space, x, y", NESTED)
+    def test_nested_pairs_match_the_built_difference(self, space, x, y):
+        engine = NormEngine(parse_space(space))
+        x, y = parse_vector(x), parse_vector(y)
+        for u, v in ((x, y), (y, x), (x, SparseVec(depth=3)), (x, x)):
+            got = engine._pair_norm(engine._split(u), engine._split(v))
+            want = engine.norm(u - v)
+            assert (got, type(got)) == (want, type(want)), (u, v)
+
+    @pytest.mark.parametrize("a, b", [((1, 2, 3), (1, 2, 5)), ((1, 3, 4), (2, 3, 4)), ((1, 2, 3), (4, 5, 6))])
+    def test_xpq_pair_matches_the_built_difference(self, a, b):
+        spec = XpqBranch(F(2), F(1), 3)
+        engine = NormEngine(ambient_space(spec))
+        x, y = embed(spec, a), embed(spec, b)
+        got = engine._pair_norm(engine._split(x), engine._split(y))
+        want = engine.norm(x - y)
+        assert (got, type(got)) == (want, type(want))
+
+    def test_nested_array_has_the_cases_it_names(self):
+        spec = _nested_array()
+        inner = [embed(spec, m).leading_groups()[1].leading_groups() for m in combinations(range(1, 7), 2)]
+        assert {tuple(parts) for parts in inner} == {(1,), (1, 2)}
+
     def test_cancelling_array_has_the_cases_it_names(self):
         spec = _cancelling_array()
         images = [embed(spec, m) for m in combinations(range(1, 7), 2)]
@@ -256,6 +311,84 @@ class TestPairNorms:
         spec = _gauge_array()
         values = [e.norm(unit(1) - unit(2)) for e in (NormEngine(spec.space.inner_at(k)) for k in (1, 2))]
         assert values[0] != values[1]
+
+
+def _report_fields(report):
+    return [(f, getattr(report, f), type(getattr(report, f)))
+            for f in ("lower", "upper", "distortion", "argmin", "argmax", "pairs")]
+
+
+def _seeded_stream(seed, kinds):
+    """(a, b, d, value) tuples over a few values, so ratios tie often;
+    `kinds` picks exact and float values and distances."""
+    rng = random.Random(seed)
+    points = list(combinations(range(1, 7), 2))
+    stream = []
+    for a, b in combinations(points, 2):
+        kind = rng.choice(kinds)
+        d = F(rng.randint(1, 4), rng.choice((1, 2))) if kind != "float-d" else rng.choice((1.0, 1.5, 3.0))
+        value = F(rng.randint(1, 6), rng.randint(1, 3))
+        stream.append((a, b, d, float(value) if kind == "float" else value))
+    return stream
+
+
+class TestRatioReduction:
+    """`distortion_report` against the per-pair `Fraction` loop kept in
+    `oracles`: the same min, max, witnesses, types and count."""
+
+    STREAMS = {
+        "exact": [("exact",)],
+        "float": [("float",)],
+        "float-distances": [("float-d",)],
+        "mixed": [("exact", "float"), ("exact", "float", "float-d")],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
+    def test_seeded_streams(self, kind):
+        for kinds in self.STREAMS[kind]:
+            for seed in range(12):
+                stream = _seeded_stream(seed, kinds)
+                got = distortion_report(iter(stream))
+                assert _report_fields(got) == _report_fields(distortion_report_reference(stream)), seed
+
+    @pytest.mark.parametrize("spec, metric, generator, n", [
+        (Prop73(F(3, 2), 3), "d_e", "T", 8),  # float sums, exact single-summand values
+        (Prop73(F(1), 3), "d_e", "T", 8),  # Fraction distances with halves
+        (Prop73(F(2), 2), "johnson", None, 7),
+        (XpqBranch(F(2), F(1), 2), "hamming", None, 7),
+    ])
+    def test_measured_streams(self, spec, metric, generator, n):
+        space = parse_space(generator) if generator else None
+        stream = list(distortion_pairs(spec, metric, n, metric_space=space))
+        assert _report_fields(distortion_report(stream)) == _report_fields(distortion_report_reference(stream))
+
+    def test_ties_keep_the_first_pair(self):
+        # 2/1, 4/2 and 2.0/1 tie at the max, 1/2, 1/2 and 0.5/1 at the min
+        stream = [((1,), (2,), F(1), F(2)), ((1,), (3,), F(2), F(4)), ((1,), (4,), F(1), 2.0),
+                  ((2,), (3,), F(2), F(1)), ((2,), (4,), F(2), F(1)), ((3,), (4,), F(1), 0.5)]
+        for order in (stream, stream[::-1]):
+            got = distortion_report(order)
+            assert _report_fields(got) == _report_fields(distortion_report_reference(order))
+        assert distortion_report(stream).argmax == ((1,), (2,))
+        assert distortion_report(stream).argmin == ((2,), (3,))
+
+    def test_a_float_compares_exactly_with_a_fraction(self):
+        # float(1/3) lies below 1/3, and float(5/3) above 5/3; rounding
+        # the exact ratios to floats would call both pairs ties
+        low, high = F(1, 3), F(5, 3)
+        stream = [((1,), (2,), F(1), low), ((1,), (3,), F(1), float(low)),
+                  ((2,), (3,), F(1), high), ((2,), (4,), F(1), float(high))]
+        got = distortion_report(stream)
+        assert (got.argmin, got.argmax) == (((1,), (3,)), ((2,), (4,)))
+        assert _report_fields(got) == _report_fields(distortion_report_reference(stream))
+
+    def test_errors_match(self):
+        for stream in ([], [((1,), (2,), F(1), F(0))]):
+            with pytest.raises(InputError) as want:
+                distortion_report_reference(stream)
+            with pytest.raises(InputError) as got:
+                distortion_report(stream)
+            assert str(got.value) == str(want.value)
 
 
 class TestXpqBranches:

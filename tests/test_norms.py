@@ -16,10 +16,8 @@ from hypothesis import strategies as st
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import (
-    AdmissibleFamily,
     NormEngine,
     gauge_norm,
-    is_admissible,
     lp_norm,
     modified_norm,
     tsirelson_norm,
@@ -436,6 +434,26 @@ class TestEngineDispatch:
         with pytest.raises(InputError, match="lpn width 2"):
             engine.norm(vec("1.2:1,3.3:1"))
 
+    @pytest.mark.parametrize("outer", ["l1", "c0", "lpn(1,4)"])
+    def test_outer_l1_and_c0_of_float_parts_are_rounded_once(self, outer):
+        # part norms sqrt(5), sqrt(10), sqrt(37) and an exact 3/2, summed
+        # or maxed exactly and rounded once; summed left to right in
+        # floats, the first three give 11.48110816796639 instead
+        engine = NormEngine(parse_space(f"sum({outer},repeat(lp(2)))"))
+        x = vec("1.1:1,1.2:2,2.1:1,2.2:3,3.1:1,3.2:6")
+        parts = [lp_norm([F(1), F(c)], F(2)) for c in (2, 3, 6)]
+        combine = max if outer == "c0" else sum
+        for y, extra in ((x, []), (x + vec("4.3:3/2"), [F(3, 2)])):
+            got = engine.norm(y)
+            assert (got, type(got)) == (float(combine([F(v) for v in parts] + extra)), float)
+        assert parts[0] + parts[1] + parts[2] != float(sum(map(F, parts)))
+
+    def test_outer_l1_and_c0_of_exact_parts_stay_exact(self):
+        x = vec("1.2:1/3,1.3:1,2.1:5/7,3.4:-2")
+        for outer, want in (("l1", F(1, 3) + 1 + F(5, 7) + 2), ("c0", F(2))):
+            got = NormEngine(parse_space(f"sum({outer},repeat(l1))")).norm(x)
+            assert (got, type(got)) == (want, F)
+
     def test_engines_agree_bitwise(self):
         space = parse_space("T")
         a, b = NormEngine(space), NormEngine(space)
@@ -558,22 +576,6 @@ class TestNormAxioms:
         x = SparseVec({(k,): v for k, v in a.items()})
         y = SparseVec({(k,): v for k, v in b.items()})
         assert tsirelson_norm(x + y) <= tsirelson_norm(x) + tsirelson_norm(y)
-
-
-class TestAdmissibility:
-    def test_predicates(self):
-        assert is_admissible([{2}, {3}])
-        assert is_admissible([{4}, {5}, {6, 7}, {9}])
-        assert not is_admissible([{1}, {2}])  # part count exceeds min
-        assert not is_admissible([{2, 5}, {4}])  # not successive
-
-    def test_family_type(self):
-        fam = AdmissibleFamily((frozenset({2}), frozenset({3})))
-        assert len(fam.parts) == 2
-        with pytest.raises(InputError):
-            AdmissibleFamily((frozenset({1}), frozenset({2})))
-        with pytest.raises(InputError):
-            AdmissibleFamily((frozenset({2}),))
 
 
 class TestLpHelper:

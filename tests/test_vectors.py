@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from banachlab.errors import InputError, ParseError
 from banachlab.vectors import (
     SparseVec,
-    finset_precedes,
     format_vector,
     inner_product,
     parse_vector,
@@ -116,12 +115,6 @@ class TestSupport:
     def test_zero_vector_errors(self):
         with pytest.raises(InputError):
             support_min_max(SparseVec())
-
-    def test_finset_precedes(self):
-        assert finset_precedes({1, 2}, {3})
-        assert not finset_precedes({1, 4}, {3})
-        with pytest.raises(InputError):
-            finset_precedes(set(), {1})
 
 
 class TestTextFormat:
