@@ -16,9 +16,7 @@ from .embeddings import (
     XpqBranch,
     array_embed,
     ell_infty_equivalence,
-    is_plegma,
     measure_distortion,
-    plegma_extend,
     prop73_embed,
     prop73_space,
     xpq_branch_vectors,
@@ -69,7 +67,6 @@ from .vectors import (
     parse_rational,
     parse_vector,
     restrict,
-    support_min_max,
     unit,
 )
 from .verifiers import (

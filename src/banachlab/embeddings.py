@@ -301,60 +301,3 @@ def ell_infty_equivalence(
     engine = NormEngine(space, caps)
     c_low = min(engine.norm(v) for v in vectors)
     return c_low, max_sign_sum(engine, vectors)[0]
-
-
-# -- plegma families ------------------------------------------------------
-
-
-def is_plegma(families: Sequence[Sequence[int]]) -> bool:
-    """The full interleaving chain s^(1)_1 < ... < s^(k)_1 < s^(1)_2 < ..."""
-    if not families:
-        raise InputError("a plegma needs at least one family")
-    length = len(families[0])
-    if any(len(f) != length for f in families):
-        raise InputError("plegma families must have equal lengths")
-    if length == 0:
-        raise InputError("plegma families must be nonempty")
-    chain = [f[j] for j in range(length) for f in families]
-    return all(a < b for a, b in zip(chain, chain[1:]))
-
-
-def plegma_extend(
-    k: int, i_list: Sequence[int], l_list: Sequence[int], N: int
-) -> list[list[int]]:
-    """Complete prescribed entries s^(i_j)_j = l_j into a full k-row
-    plegma with min of the first row greater than N.
-
-    The l's must be pairwise distinct multiples of 2k exceeding N + k;
-    the construction shifts each column so that column j runs through
-    consecutive integers around l_j, which the 2k gaps keep interleaved.
-    """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if len(i_list) != len(l_list):
-        raise InputError("i_list and l_list must have equal lengths")
-    if not i_list:
-        raise InputError("nothing to extend")
-    for i in i_list:
-        if not 1 <= i <= k:
-            raise InputError(f"row index {i} outside [1, {k}]")
-    if len(set(l_list)) != len(l_list):
-        raise InputError("the prescribed l's must be pairwise distinct")
-    for l in l_list:
-        if l % (2 * k) != 0:
-            raise InputError(f"l = {l} is not a multiple of 2k = {2 * k}")
-        if l <= N + k:
-            raise InputError(f"l = {l} does not exceed N + k = {N + k}")
-    order = sorted(range(len(l_list)), key=lambda j: l_list[j])
-    ls = [l_list[j] for j in order]
-    rows_of = [i_list[j] for j in order]
-    m = len(ls)
-    plegma = [[0] * m for _ in range(k)]
-    for j in range(m):
-        for i in range(1, k + 1):
-            plegma[i - 1][j] = ls[j] + i - rows_of[j]
-    if not is_plegma(plegma):
-        raise InputError("internal error: completion violates the chain")
-    if plegma[0][0] <= N:
-        raise InputError(f"first entry {plegma[0][0]} does not exceed N = {N}")
-    return plegma

@@ -32,8 +32,10 @@ and a partition of a mask into n parts is searched with the part
 holding its lowest bit first.  The partition-scaled (gauge) norm is a
 bottom-up interval DP in floats, shaped like the Tsirelson loop but
 without the admissibility constraint: it fills every part count and
-weighs each by its own 1/f(k), so the two keep separate loops.  Every
-recursion bottoms out in coordinate absolute values.
+weighs each by its own 1/f(k), so the two keep separate loops.
+`lp_norm` evaluates lp vectors and the lp outer norms of sums alike, and
+shares one float-range routine with the gauge norm.  Every recursion
+bottoms out in coordinate absolute values.
 """
 
 from __future__ import annotations
@@ -262,34 +264,38 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
     return Fraction(norm[-1], scale)
 
 
-# -- partition-scaled (gauge) norm -----------------------------------------
+# -- partition-scaled (gauge) and finite lp norms -------------------------
+
+
+def _in_float_range(kernel, values: list, name: str) -> float:
+    """kernel(values as floats), or where a value or the result overflows,
+    the maximum times kernel(values / maximum), each quotient exact until
+    rounded; a result beyond the float range is an input error."""
+    try:
+        value = kernel([float(v) for v in values])
+    except OverflowError:
+        value = inf
+    if isinf(value):
+        top = Fraction(max(values))
+        try:
+            value = float(top) * kernel([float(Fraction(v) / top) for v in values])
+        except OverflowError:
+            value = inf
+        if isinf(value):
+            raise InputError(f"the {name} norm exceeds the float range")
+    return value
 
 
 def gauge_norm(x: SparseVec, gauge) -> float:
     """Interval DP without the admissibility constraint; each family of k
     successive parts is scaled by 1/f(k).  Float-valued since the gauges
-    are irrational.  A coefficient beyond the float range is an input
-    error.  Where a part sum overflows, the DP reruns on the coefficients
-    divided by their maximum and multiplies back, as `lp_norm` does; a
-    norm beyond the float range is an input error."""
+    are irrational, and kept in the float range as `lp_norm` is."""
     if x and x.depth != 1:
         raise InputError("the gauge norm is defined on depth-1 vectors")
-    if not x:
-        return 0.0
     coef = [abs(x[p]) for p in x.support()]
-    try:
-        mag = [float(c) for c in coef]
-    except OverflowError:
-        raise InputError("a coefficient exceeds the float range of the gauge norm") from None
-    f = [None, None] + [gauge(k) for k in range(2, len(mag) + 1)]
-    value = _gauge_dp(mag, f)
-    # an overflowed sum is inf and carries up to the whole support
-    if isinf(value):
-        top = max(coef)
-        value = _gauge_dp([float(c / top) for c in coef], f) * float(top)
-        if isinf(value):
-            raise InputError("the gauge norm exceeds the float range")
-    return value
+    f = [None, None] + [gauge(k) for k in range(2, len(coef) + 1)]
+    # an overflowed part sum is inf and carries up to the whole support
+    return _in_float_range(lambda mag: _gauge_dp(mag, f), coef, "gauge")
 
 
 def _gauge_dp(mag: list, f: list) -> float:
@@ -311,44 +317,48 @@ def _gauge_dp(mag: list, f: list) -> float:
                 total = sums[k][i] = max(map(add, row[i : j - k + 2], sums[k - 1][i + 1 : j - k + 3]))
                 best = max(best, total / f[k])
             row[j] = sums[1][i] = best
-    return table[0][-1]
-
-
-# -- finite lp norms ---------------------------------------------------------
+    return table[0][-1] if m else 0.0
 
 
 def lp_norm(values, p) -> Fraction | float:
-    """lp norm of a list of nonnegative values; exact for p in {1, inf}
-    and for singletons, float otherwise.  Where a power overflows the
-    float range, the sum is taken over values divided by their maximum;
-    a norm beyond the float range is an input error."""
+    """lp norm of nonnegative `Fraction`s or floats (p None for inf), a
+    float if any value is one.  p = 1 sums the exact integer ratios over
+    the lcm of their denominators and p = inf keeps the largest, each
+    rounded once.  Other p drop zeros, return a lone value as it is, and
+    take the float root of the sum of powers in `_in_float_range`."""
     values = list(values)
-    if not values:
-        return Fraction(0)
-    if p is None:
-        return max(values)
     if len(values) == 1:
         return values[0]
-    if p == 1:
-        total = values[0]
-        for v in values[1:]:
-            total = total + v
-        return total
+    inexact = float in map(type, values)
+    if p is None or p == 1:
+        num, den = 0, 1
+        for v in values:
+            n, d = v.as_integer_ratio()
+            if p is None:
+                if n * den > num * d:
+                    num, den = n, d
+            elif den % d:
+                common = lcm(den, d)
+                num, den = num * (common // den) + n * (common // d), common
+            else:
+                num += n * (den // d)
+        if inexact:
+            return _rounded(num, den, "l1" if p else "linf")
+        # an integer builds its Fraction without a gcd
+        return Fraction(num) if den == 1 else Fraction(num, den)
+    values = [v for v in values if v] or [Fraction(0)]
+    if len(values) == 1:
+        return float(values[0]) if inexact else values[0]
     expo = float(p)
+    return _in_float_range(lambda floats: sum(v**expo for v in floats) ** (1.0 / expo), values, f"l{p}")
+
+
+def _rounded(num: int, den: int, name: str) -> float:
+    """num / den rounded once; an input error past the float range."""
     try:
-        value = sum(float(v) ** expo for v in values) ** (1.0 / expo)
+        return num / den
     except OverflowError:
-        value = inf
-    if isinf(value):
-        top = max(values)
-        ratio = sum(float(v / top) ** expo for v in values) ** (1.0 / expo)
-        try:
-            value = float(top) * ratio
-        except OverflowError:
-            value = inf
-        if isinf(value):
-            raise InputError(f"the l{p} norm exceeds the float range")
-    return value
+        raise InputError(f"the {name} norm exceeds the float range") from None
 
 
 # -- the engine ---------------------------------------------------------------
@@ -393,11 +403,9 @@ class NormEngine:
     grow with the pair count.  The summands of a `Repeat` share one
     engine.
 
-    The outer norm of a `Sum` takes the part norms in increasing k.  An
-    lp outer with p = 1 or inf sums or maxes them in integers, each by
-    its exact integer ratio over a common denominator, so a float result
-    is the exact sum rounded once.  Other lp outers take them through
-    `lp_norm`, other outers as a vector through their engine.
+    The outer norm of a `Sum` takes the part norms in increasing k, as
+    they are through `lp_norm` for an lp outer, and through any other
+    outer's engine as the vector of the nonzero ones.
 
     `norm` is the validating edge: it checks x against the space once
     and hands it to the unchecked `_norm`.  A valid vector of a `Sum`
@@ -414,7 +422,7 @@ class NormEngine:
         self.caps = caps or get_caps()
         self._memo: Optional[dict] = {} if isinstance(space, _COSTLY) else None
         self._by_class = isinstance(space, (Tsirelson, TsirelsonDual))
-        self._outer: Optional[NormEngine] = None
+        self._outer = NormEngine(space.outer, self.caps) if isinstance(space, Sum) else None
         self._inner: dict[int, NormEngine] = {}
         # for `_split` and `_pair_norm` over a `Sum`
         self._parts: dict[tuple, SparseVec | dict] = {}
@@ -461,10 +469,8 @@ class NormEngine:
     def _sum_norm(self, space: Sum, x: SparseVec):
         if not x:
             return Fraction(0)
-        part_norms = {}
-        for k, part in x.leading_groups().items():
-            part_norms[k] = self._inner_engine(space, k)._norm(part)
-        return self._outer_norm(part_norms)
+        groups = x.leading_groups().items()
+        return self._outer_norm({k: self._inner_engine(space, k)._norm(part) for k, part in groups})
 
     def _split(self, x: SparseVec) -> dict:
         """The parts of a valid vector of this `Sum` by summand, in
@@ -499,8 +505,10 @@ class NormEngine:
             if value is None:
                 if nested:
                     value = engine._pair_norm(part_a or {}, part_b or {})
+                elif part_a is None or part_b is None:
+                    value = engine._norm(-part_b if part_a is None else part_a)
                 else:
-                    value = engine._norm(_difference(part_a, part_b))
+                    value = engine._norm(part_a - part_b)
                 if engine._memo is not None or nested and (part_a is None or part_b is None):
                     memo[key] = value
             part_norms[k] = value
@@ -509,28 +517,15 @@ class NormEngine:
     def _outer_norm(self, part_norms: dict[int, Fraction | float]):
         """The outer norm of the inner norms by summand, given in
         increasing k; a float if any of them is one."""
-        values = list(part_norms.values())
         outer = self.space.outer
-        lp = isinstance(outer, (Lp, LpN))
-        if lp and len(values) == 1:
-            return values[0]
-        inexact = float in map(type, values)
-        if lp and (outer.p is None or outer.p == 1):
-            num, den, top = 0, 1, outer.p is None
-            for v in values:
-                n, d = v.as_integer_ratio()
-                num, den = max(num * d, n * den) if top else num * d + n * den, den * d
-            return num / den if inexact else Fraction(num, den)
+        if isinstance(outer, (Lp, LpN)):
+            return lp_norm(part_norms.values(), outer.p)
+        # the nonzero part norms as Fractions make a canonical outer vector
         entries = {(k,): Fraction(v) for k, v in part_norms.items() if v}
-        if lp:
-            value = lp_norm(entries.values(), outer.p)
-        else:
-            if self._outer is None:
-                self._outer = NormEngine(outer, self.caps)
-            # part norms are nonzero Fractions by now, so the outer vector
-            # is canonical as built
-            value = self._outer._norm(SparseVec._clean(entries, 1))
-        return float(value) if inexact and isinstance(value, Fraction) else value
+        value = self._outer._norm(SparseVec._clean(entries, 1))
+        if isinstance(value, Fraction) and float in map(type, part_norms.values()):
+            return _rounded(value.numerator, value.denominator, "outer")
+        return value
 
     def _inner_engine(self, space: Sum, k: int) -> "NormEngine":
         if k not in self._inner:
@@ -538,13 +533,6 @@ class NormEngine:
             same = (e for e in self._inner.values() if e.space is inner)
             self._inner[k] = next(same, None) or NormEngine(inner, self.caps)
         return self._inner[k]
-
-
-def _difference(x: Optional[SparseVec], y: Optional[SparseVec]) -> SparseVec:
-    """x - y, where None stands for a zero part."""
-    if x is None:
-        return -y
-    return x if y is None else x - y
 
 
 # -- norming set of the Tsirelson norm ---------------------------------------

@@ -200,14 +200,6 @@ def inner_product(x: SparseVec, f: SparseVec) -> Fraction:
     return total
 
 
-def support_min_max(x: SparseVec) -> tuple[int, int]:
-    """Minimum and maximum leading index; undefined for the zero vector."""
-    if not x:
-        raise InputError("support of the zero vector is undefined")
-    leading = x.leading_support()
-    return leading[0], leading[-1]
-
-
 # -- text format -------------------------------------------------------
 #
 # Comma-separated `path:value` terms, e.g. `1:1,2:1/2` (depth 1) or

@@ -25,7 +25,7 @@ from .errors import CapExceeded, InputError
 from .norms import NormEngine, chunkings, modified_norm, nonempty_subsets, tsirelson_norm
 from .report import VerifierReport
 from .spaces import Repeat, SpaceExpr, Sum, TsirelsonDual, space_depth
-from .vectors import SparseVec, format_vector
+from .vectors import SparseVec, format_vector, restrict
 
 ONE = Fraction(1)
 DEFAULT_SEED = 1729
@@ -426,10 +426,7 @@ def hat_select(
     for vec in vecs:
         profile = []
         for i in range(1, k + 1):
-            row = SparseVec(
-                {p: v for p, v in vec.items() if p[0] == i}, depth=2
-            )
-            profile.append(engine.norm(row))
+            profile.append(engine.norm(restrict(vec, (i,))))
         profiles.append(tuple(profile))
 
     def cube(value: Fraction) -> int:
@@ -494,10 +491,7 @@ def select_c0_subsequence(
             extent = max(extent, p[0], p[1])
         n_prev = max(n_prev + 1, extent)
 
-    hats = [
-        SparseVec({p: v for p, v in vec.items() if p[0] <= k}, depth=2)
-        for vec in vecs
-    ]
+    hats = [restrict(vec, range(1, k + 1)) for vec in vecs]
     selected, cell, hat_report = hat_select(k, hats, caps)
     chosen = [vecs[j - 1] for j in selected]
     c_low, c_up = ell_infty_equivalence(chosen, tt_space(), caps)

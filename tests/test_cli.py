@@ -258,6 +258,13 @@ class TestExitCodes:
         ["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "hamming:T", "--n", "4"],
         ["distortion", "--embedding", "prop73:p=1,k=2", "--metric", "johnson:lp(2)", "--n", "4"],
     ]
+    # an exact outer sum of float part norms, and an exact outer norm
+    # rounded for a float part norm, beyond the float range
+    BAD_INPUTS += [
+        ["norm", "--space", "sum(l1,repeat(lp(2)))", "--vec",
+         ",".join(f"{k}.{i}:{10**308}" for k in (1, 2) for i in (1, 2))],
+        ["norm", "--space", "sum(T,repeat(lp(2)))", "--vec", f"1.1:{10**400},2.1:1,2.2:1"],
+    ]
 
     @pytest.mark.parametrize("argv", BAD_INPUTS, ids=range(len(BAD_INPUTS)))
     def test_bad_input_is_one_error_line(self, argv, capsys, monkeypatch):

@@ -1,5 +1,5 @@
-"""Embedding constructions, distortion measurement, tree branches,
-finite-linfty constants, and plegma completion."""
+"""Embedding constructions, distortion measurement, tree branches and
+finite-linfty constants."""
 
 import math
 import random
@@ -20,9 +20,7 @@ from banachlab.embeddings import (
     distortion_report,
     ell_infty_equivalence,
     embed,
-    is_plegma,
     measure_distortion,
-    plegma_extend,
     prop73_embed,
     prop73_space,
     xpq_branch_vectors,
@@ -468,52 +466,3 @@ class TestEllInftyEquivalence:
             value = engine.norm(total)
             peak = max(abs(c) for c in coeffs)
             assert c_low * peak <= value <= c_up * peak
-
-
-class TestPlegma:
-    def test_single_family(self):
-        assert is_plegma([(1, 3, 9)])
-        assert not is_plegma([(1, 3, 3)])
-
-    def test_examples(self):
-        assert is_plegma([(1, 3), (2, 4)])
-        assert not is_plegma([(1, 4), (2, 3)])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(InputError):
-            is_plegma([(1, 2), (3,)])
-
-    def test_extend_k1(self):
-        assert plegma_extend(1, [1, 1], [4, 2], 0) == [[2, 4]]
-
-    def test_extend_k2_example(self):
-        plegma = plegma_extend(2, [1, 2], [8, 12], 1)
-        assert is_plegma(plegma)
-        assert plegma[0][0] == 8 and plegma[1][1] == 12
-        assert plegma[0][0] > 1
-
-    def test_extend_precondition_errors(self):
-        with pytest.raises(InputError):
-            plegma_extend(2, [1, 2], [7, 12], 1)  # not a multiple of 2k
-        with pytest.raises(InputError):
-            plegma_extend(2, [1, 2], [4, 8], 4)  # does not exceed N + k
-        with pytest.raises(InputError):
-            plegma_extend(2, [1, 2], [8, 8], 1)  # duplicates
-        with pytest.raises(InputError):
-            plegma_extend(2, [3, 1], [8, 12], 1)  # row index out of range
-
-    def test_extend_random_instances(self):
-        rng = random.Random(41)
-        for _ in range(25):
-            k = rng.randint(1, 4)
-            m = rng.randint(1, 4)
-            N = rng.randint(0, 5)
-            ls = rng.sample(range(1, 40), m)
-            ls = [2 * k * (l + N) for l in ls]
-            rows = [rng.randint(1, k) for _ in range(m)]
-            plegma = plegma_extend(k, rows, ls, N)
-            assert is_plegma(plegma)
-            assert plegma[0][0] > N
-            order = sorted(range(m), key=lambda j: ls[j])
-            for col, j in enumerate(order):
-                assert plegma[rows[j] - 1][col] == ls[j]

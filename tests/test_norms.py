@@ -5,6 +5,8 @@ recursion and the norming-set maximum; expected values for the examples
 below were produced by `brute_force_tsirelson` and are frozen here.
 """
 
+import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banachlab.caps import Caps
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import (
@@ -454,6 +457,13 @@ class TestEngineDispatch:
             got = NormEngine(parse_space(f"sum({outer},repeat(l1))")).norm(x)
             assert (got, type(got)) == (want, F)
 
+    def test_zero_part_norms_stay_out_of_the_outer_vector(self):
+        # an M outer caps its support: four part norms, two of them 0.0,
+        # give a support of two, within a cap of 3
+        engine = NormEngine(parse_space("sum(M,repeat(l1))"), Caps(modified=3))
+        got = engine._outer_norm({1: 0.0, 2: F(3), 3: 0.0, 4: F(5)})
+        assert (got, type(got)) == (float(modified_norm(vec("2:3,4:5"))), float)
+
     def test_engines_agree_bitwise(self):
         space = parse_space("T")
         a, b = NormEngine(space), NormEngine(space)
@@ -593,3 +603,223 @@ class TestLpHelper:
     def test_norm_beyond_the_float_range_is_an_input_error(self):
         with pytest.raises(InputError):
             lp_norm([F(10**400), F(1)], F(3))
+
+    def test_float_sums_and_maxima_are_exact_and_rounded_once(self):
+        # left to right in floats, 0.1 + 0.2 + 0.3 is 0.6000000000000001
+        assert lp_norm([0.1, 0.2, 0.3], F(1)) == float(F(0.1) + F(0.2) + F(0.3)) == 0.6
+        got = lp_norm([F(1, 3), 0.25], None)
+        assert (got, type(got)) == (1 / 3, float)
+        got = lp_norm([F(1, 3), F(1, 2)], F(1))
+        assert (got, type(got)) == (F(5, 6), F)
+
+    def test_exact_sum_or_maximum_beyond_the_float_range_is_an_input_error(self):
+        with pytest.raises(InputError, match="the l1 norm exceeds the float range"):
+            lp_norm([1e308, 1e308], F(1))
+        with pytest.raises(InputError, match="the linf norm exceeds the float range"):
+            lp_norm([F(10**400), 1.0], None)
+        engine = NormEngine(parse_space("sum(T,repeat(l1))"))
+        with pytest.raises(InputError, match="the outer norm exceeds the float range"):
+            engine._outer_norm({1: F(10**400), 2: 1.0})
+
+    def test_gauge_coefficient_beyond_the_float_range_is_an_input_error(self):
+        gauge = parse_space("S(log2)").gauge
+        with pytest.raises(InputError, match="the gauge norm exceeds the float range"):
+            gauge_norm(vec(f"1:{10**400},2:1"), gauge)
+        # the part sum 2e308 overflows, the norm does not
+        got = gauge_norm(vec(f"1:{10**308},2:{10**308}"), gauge)
+        assert got == 1e308 * gauge_norm(vec("1:1,2:1"), gauge)
+
+
+# The outer norm of part norms, `Fraction`s or floats as they come.  Pins
+# are repr(_outer_norm(stream)) at the commit before `lp_norm` became the
+# one lp evaluator, where lp outers with p = 1 or inf summed exact
+# integer ratios over product denominators and other lp outers took the
+# part norms as `Fraction`s; every value and type must repeat.
+
+
+def _part_norm_streams():
+    """Seeded part norms by summand, as `_outer_norm` takes them: 30
+    mixed streams of `Fraction`s and floats, with zeros, extremes and
+    `Fraction`s near 10^307 that no float equals; 12 streams of zeros left
+    by float norms that underflow, beside one or more nonzero norms; and
+    12 singletons."""
+    rng = random.Random(2417)
+    kinds = 3 * [
+        lambda: F(rng.randint(1, 30), rng.randint(1, 12)),
+        lambda: math.sqrt(rng.randint(2, 60)),
+    ] + [
+        lambda: rng.random() * 10.0 ** rng.randint(-8, 8),
+        lambda: rng.random() * 10.0 ** rng.randint(-8, 8),
+        lambda: 0.0,
+        lambda: rng.choice((1e300, 1e-300, 5e-324)),
+        lambda: F(10**307 + rng.randint(1, 10**6), rng.randint(1, 7)),
+    ]
+    underflow = lp_norm([F(1, 10**120), F(1, 10**120)], F(3))
+    assert (underflow, type(underflow)) == (0.0, float)
+    streams = []
+    for _ in range(30):
+        keys = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+        streams.append({k: rng.choice(kinds)() for k in keys})
+    for _ in range(12):
+        keys = sorted(rng.sample(range(1, 9), rng.randint(2, 4)))
+        streams.append({
+            k: underflow if rng.random() < 0.5 else rng.choice(kinds[:2])() for k in keys
+        })
+    for value in (F(7, 3), math.sqrt(2), underflow, 1e300, F(10**307 + 1, 3), 5e-324):
+        streams += [{1: value}, {6: value}]
+    return streams
+
+
+def _near_1e200_streams():
+    """12 seeded streams of 2 to 5 norms near 1e200, floats and
+    `Fraction`s that no float equals: their cubes overflow, so an l3
+    outer takes the sum over the norms divided by their maximum."""
+    rng = random.Random(1201)
+    kinds = (
+        lambda: rng.uniform(1, 10) * 1e199,
+        lambda: F(rng.randint(10**199, 10**201), rng.randint(1, 9)),
+    )
+    return [
+        {k: rng.choice(kinds)() for k in sorted(rng.sample(range(1, 9), rng.randint(2, 5)))}
+        for _ in range(12)
+    ]
+
+
+def _pin(value):
+    """repr of a value, or its type and a digest of a long repr."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{type(value).__name__} {hashlib.sha256(text.encode()).hexdigest()[:12]}"
+
+
+def _outer_pins(outer, streams):
+    engine = NormEngine(parse_space(f"sum({outer},repeat(l1))"))
+    return [_pin(engine._outer_norm(part_norms)) for part_norms in streams]
+
+
+# streams of `_part_norm_streams()` under sum(outer, repeat(l1))
+OUTER_PINS = {
+    'l1': [
+        '7.5e+306', '2.500002e+306', 'Fraction(5, 3)', '1.6666666666666665e+306',
+        '95122.83055245837', '6.722535307177037', '10.08276253029822',
+        '25.132649082605703', '11.307687521709257', '9.205513679244289', '1e-300',
+        '8.183805244049415', '9.335041311595521', '4.795831523312719',
+        '1.6666666666666665e+306', '0.0', '5e+306', '5e+306', '5e+306',
+        '10.225619673155363', '6.557438524302', '1.6666666666666665e+306',
+        '8735.201168902817', '44.05', '5e+306', '73052.30624977153', '5e+306',
+        '14.529908733956395', '9.833333386708981', '2.2', '0.4', '0.0', '2.6',
+        '5.616657386773941', '8.668814869520137', '8.482082426490097',
+        '5.830951894845301', '4.065384140902211', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'c0': [
+        '5e+306', '2.5e+306', 'Fraction(5, 3)', '1.6666666666666665e+306',
+        '95115.08458576596', '4.358898943540674', '6.082762530298219',
+        '24.492663433221573', '7.0710678118654755', '3.3166247903554', '1e-300',
+        '8.177280983793384', '5.196152422706632', '4.795831523312719',
+        '1.6666666666666665e+306', '0.0', '5e+306', '5e+306', '5e+306',
+        '6.082762530298219', '6.557438524302', '1.6666666666666665e+306',
+        '8735.201168902817', '25.0', '5e+306', '73048.98962498117', '5e+306',
+        '6.928203230275509', '7.333333333333333', '2.2', '0.4', '0.0', '2.6',
+        '3.7416573867739413', '4.795831523312719', '4.69041575982343',
+        '5.830951894845301', '2.3333333333333335', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'lp(2)': [
+        '5.5901699437494747e+306', '2.5000000000004e+306', 'Fraction(5, 3)',
+        '1.6666666666666665e+306', '95115.08490117335', '4.958505506652598',
+        '7.280109889280518', '24.500641045139137', '8.070454225442251',
+        '5.038126243890948', '1e-300', '8.177283586490123', '5.969120641649647',
+        '4.795831523312719', '1.6666666666666665e+306', '0.0', '5e+306', '5e+306',
+        '5e+306', '7.359569641366432', '6.557438524302', '1.6666666666666665e+306',
+        '8735.201168902817', '28.977620675272842', '5e+306', '73048.98970027312',
+        '5e+306', '9.18961259204308', '7.747759532779639', '2.2', '0.4', '0.0', '2.6',
+        '4.0485336851754115', '6.164414002968976', '5.500157826018369',
+        '5.830951894845301', '2.9059326290271157', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'lp(3/2)': [
+        '6.118152036928689e+306', '2.5000000008432743e+306', 'Fraction(5, 3)',
+        '1.6666666666666665e+306', '95115.1311870009', '5.453206243544831',
+        '8.088065500793837', '24.5594246864499', '8.920778222136914',
+        '6.107391965911736', '1e-300', '8.177403840696744', '6.821321550281181',
+        '4.795831523312719', '1.6666666666666665e+306', '0.0', '5e+306', '5e+306',
+        '5e+306', '8.189106125760327', '6.5574385243019995', '1.6666666666666665e+306',
+        '8735.201168902817', '32.68471960847626', '5e+306', '73049.00452360396',
+        '5e+306', '10.604970841751555', '8.276736801376162', '2.2', '0.4', '0.0', '2.6',
+        '4.423761056495788', '6.899936816990197', '6.262350164622729',
+        '5.830951894845301', '3.2443439507863223', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'lpn(3,8)': [
+        '5.20020955762976e+306', '2.5e+306', 'Fraction(5, 3)',
+        '1.6666666666666665e+306', '95115.08458578301', '4.579241512106938',
+        '6.611963407339405', '24.49279909276433', '7.439189611732452',
+        '4.212530715894099', '1e-300', '8.177280985177761', '5.4109757262359786',
+        '4.795831523312719', '1.6666666666666665e+306', '0.0', '5e+306', '5e+306',
+        '5e+306', '6.665698077896045', '6.5574385243019995', '1.6666666666666665e+306',
+        '8735.201168902817', '26.422236786238912', '5e+306', '73048.98962498341',
+        '5e+306', '8.085181310435201', '7.428930879286057', '2.2', '0.4', '0.0', '2.6',
+        '3.821551999268456', '5.52221183185046', '4.971369711612533',
+        '5.830951894845301', '2.6158721456002714', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'T': [
+        '5e+306', '2.5e+306', 'Fraction(5, 3)', '1.6666666666666665e+306',
+        '95115.08458576596', '4.358898943540674', '6.082762530298219',
+        '24.492663433221573', '7.0710678118654755', '3.3166247903554', '1e-300',
+        '8.177280983793384', '5.196152422706632', '4.795831523312719',
+        '1.6666666666666665e+306', '0.0', '5e+306', '5e+306', '5e+306',
+        '6.082762530298219', '6.557438524302', '1.6666666666666665e+306',
+        '8735.201168902817', '25.0', '5e+306', '73048.98962498117', '5e+306',
+        '7.2649543669781975', '7.333333333333333', '2.2', '0.4', '0.0', '2.6',
+        '3.7416573867739413', '4.795831523312719', '4.69041575982343',
+        '5.830951894845301', '2.3333333333333335', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+    'T*': [
+        '7.5e+306', '2.500002e+306', 'Fraction(5, 3)', '1.6666666666666665e+306',
+        '95122.83055245837', '6.722535307177037', '10.08276253029822',
+        '25.132649082605703', '10.944051158072892', '9.205513679244289', '1e-300',
+        '8.183805244049415', '7.446152422706632', '4.795831523312719',
+        '1.6666666666666665e+306', '0.0', '5e+306', '5e+306', '5e+306',
+        '10.225619673155363', '6.557438524302', '1.6666666666666665e+306',
+        '8735.201168902817', '39.8', '5e+306', '73052.30624977153', '5e+306',
+        '12.672765876813537', '9.833333333333334', '2.2', '0.4', '0.0', '2.6',
+        '5.241657386773941', '8.668814869520137', '7.31541575982343',
+        '5.830951894845301', '4.065384140902211', '2.5', '5.830951894845301', '23.0',
+        '0.0', 'Fraction(7, 3)', 'Fraction(7, 3)', '1.4142135623730951',
+        '1.4142135623730951', '0.0', '0.0', '1e+300', '1e+300', 'Fraction fbe66690eb0b',
+        'Fraction fbe66690eb0b', '5e-324', '5e-324',
+    ],
+}
+
+# `_near_1e200_streams()` under sum(lp(3), repeat(l1))
+NEAR_1E200_PINS = [
+    '1.9539379367432147e+200', '1.3114616542334996e+200', '3.001605418604727e+200',
+    '3.956164395139731e+200', '1.2498988421680326e+200', '6.899439325257693e+200',
+    '9.611207163613133e+199', '4.6073172283865895e+199', '3.1690624450571845e+200',
+    '2.3491501993194913e+200', '1.2784362625758048e+200', '1.4366815626771295e+200',
+]
+
+
+class TestOuterNormPins:
+    @pytest.mark.parametrize("outer", list(OUTER_PINS))
+    def test_mixed_zero_and_singleton_streams(self, outer):
+        assert _outer_pins(outer, _part_norm_streams()) == OUTER_PINS[outer]
+
+    def test_l3_outer_rescales_norms_near_1e200(self):
+        assert _outer_pins("lp(3)", _near_1e200_streams()) == NEAR_1E200_PINS

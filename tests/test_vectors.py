@@ -14,7 +14,6 @@ from banachlab.vectors import (
     inner_product,
     parse_vector,
     restrict,
-    support_min_max,
     unit,
 )
 
@@ -103,18 +102,6 @@ class TestInnerProduct:
             (x[(k,)] * y[(k,)] for k in set(a) | set(b)), F(0)
         )
         assert inner_product(x, y) == inner_product(y, x) == direct
-
-
-class TestSupport:
-    def test_singleton(self):
-        assert support_min_max(unit(5)) == (5, 5)
-
-    def test_spread(self):
-        assert support_min_max(vec("2:1,7:1")) == (2, 7)
-
-    def test_zero_vector_errors(self):
-        with pytest.raises(InputError):
-            support_min_max(SparseVec())
 
 
 class TestTextFormat:
