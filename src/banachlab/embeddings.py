@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
@@ -257,47 +257,32 @@ def distortion_report(
 
 
 def max_sign_sum(engine: NormEngine, vectors: Sequence[SparseVec]):
-    """Max of ||x_1 ± x_2 ± ... ± x_n|| and the signs (a list starting
-    with 1) of the first pattern that attains it, or None when every sum
-    is 0.  Only the 2^(n-1) patterns that start with + are scanned, in
-    `product` order: ||-x|| = ||x||, so they attain every value."""
-    best = Fraction(0)
-    witness = None
-    for signs in product((ONE, -ONE), repeat=len(vectors) - 1):
-        total = vectors[0]
-        for sign, vec in zip(signs, vectors[1:]):
-            total = total + sign * vec
-        value = engine.norm(total)
-        if value > best:
-            best = value
-            witness = [1] + [int(s) for s in signs]
-    return best, witness
+    """Max of ||x_1 ± ... ± x_n|| over sign patterns for pairwise disjoint
+    supports, and the first pattern attaining it, or (0, None) when it is
+    0.  It is ||x_1 + ... + x_n|| at [1, ..., 1]: on disjoint supports
+    every pattern has the same |coordinates|, which are all any norm here
+    reads, so every pattern gives that value, and `product` order puts
+    [1, ..., 1] first (`oracles.max_sign_sum_reference` scans them all)."""
+    paths = [path for vec in vectors for path in vec.support()]
+    if len(set(paths)) < len(paths):
+        raise InputError("vectors must have pairwise disjoint supports")
+    value = engine.norm(sum(vectors[1:], vectors[0]))
+    return (value, [1] * len(vectors)) if value else (Fraction(0), None)
 
 
-def ell_infty_equivalence(
-    vectors: Sequence[SparseVec],
-    space: SpaceExpr,
-    caps: Optional[Caps] = None,
-):
-    """Certified constants (c_low, c_up) for 1 to 12 vectors with
+def ell_infty_equivalence(vectors: Sequence[SparseVec], engine: NormEngine):
+    """Certified constants (c_low, c_up) in the space of `engine` for 1
+    to 12 vectors with pairwise disjoint supports:
 
         c_low * max|a_i|  <=  ||sum a_i x_i||  <=  c_up * max|a_i|.
 
     c_up is the max over sign patterns (the sup over [-1,1]^n of a convex
-    function is attained at vertices, and the bases are unconditional);
-    c_low = min_i ||x_i|| comes from the suppression bound, which needs
-    pairwise disjoint supports.
+    function is attained at vertices, and the bases are unconditional),
+    one norm by `max_sign_sum`, which checks the supports; c_low =
+    min_i ||x_i|| comes from the suppression bound.
     """
-    caps = caps or get_caps()
     n = len(vectors)
     if not 1 <= n <= 12:
         raise InputError(f"need between 1 and 12 vectors, got {n}")
-    seen: set = set()
-    for vec in vectors:
-        paths = set(vec.support())
-        if seen & paths:
-            raise InputError("vectors must have pairwise disjoint supports")
-        seen |= paths
-    engine = NormEngine(space, caps)
-    c_low = min(engine.norm(v) for v in vectors)
-    return c_low, max_sign_sum(engine, vectors)[0]
+    c_up = max_sign_sum(engine, vectors)[0]
+    return min(engine.norm(v) for v in vectors), c_up

@@ -7,10 +7,11 @@ each fast path against them.  The set-family recursion
 LP over the whole norming set (`dual_norm_reference`) and the rational
 re-derivation of an LP basis (`decomposition_weight`) check the
 column-generation LP of `dual`; the per-pair `Fraction` reduction
-(`distortion_report_reference`) checks the integer one of
-`embeddings.distortion_report`.  The enumerations are exponential in
-the support size, hence the `tsirelson` cap, and memoize per exact
-support in two module-level caches that grow with every support seen.
+(`distortion_report_reference`) and the sign-pattern scan
+(`max_sign_sum_reference`) check `embeddings.distortion_report` and
+`embeddings.max_sign_sum`.  The enumerations are exponential in the
+support size, hence the `tsirelson` cap, and memoize per exact support
+in two module-level caches that grow with every support seen.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, get_caps
 from .dual import LPResult
 from .embeddings import DistortionReport
 from .errors import InputError
-from .norms import Functional, chunkings, nonempty_subsets
+from .norms import Functional, NormEngine, chunkings, nonempty_subsets
 from .simplex import SimplexError, StandardFormSimplex
 from .vectors import SparseVec
 
@@ -260,3 +261,20 @@ def distortion_report_reference(pairs) -> DistortionReport:
     if lower == 0:
         raise InputError(f"embedding collapses the pair {argmin}")
     return DistortionReport(lower, upper, upper / lower, argmin, argmax, count)
+
+
+def max_sign_sum_reference(engine: NormEngine, vectors: Sequence[SparseVec]):
+    """Max of ||x_1 ± x_2 ± ... ± x_n|| for any supports and the signs (a
+    list starting with 1) of the first pattern that attains it, or None
+    when every sum is 0.  Only the 2^(n-1) patterns that start with + are
+    scanned, in `product` order: ||-x|| = ||x||, so they attain every value."""
+    best, witness = Fraction(0), None
+    for signs in product((ONE, -ONE), repeat=len(vectors) - 1):
+        total = vectors[0]
+        for sign, vec in zip(signs, vectors[1:]):
+            total = total + sign * vec
+        value = engine.norm(total)
+        if value > best:
+            best = value
+            witness = [1] + [int(s) for s in signs]
+    return best, witness

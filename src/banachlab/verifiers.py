@@ -32,7 +32,7 @@ DEFAULT_SEED = 1729
 RANDOM_MAX_SIZE = 6  # support size cap of the random vectors in `estimate_cm`
 BAND_WIDTH = 2  # columns per block in the seeded grid instances
 # most grid vectors (k^(k+1) per sample) one hat or c0-subseq run may
-# build, at about 1 ms each: 0.56 s per hat instance at k = 4, 10 s at 5
+# build: one hat instance takes 0.5 s at k = 4, 9 s (50 MB peak) at 5
 VECTOR_BUDGET = 10**4
 
 
@@ -386,26 +386,26 @@ def _random_normalized(
 
 
 def hat_select(
-    k: int, w_list: Sequence, caps: Optional[Caps] = None
+    k: int, w_list: Sequence, engine: Optional[NormEngine] = None
 ) -> tuple[list[int], tuple, VerifierReport]:
     """Pigeonhole selection of k indices whose row-norm profiles land in
     one grid cube of side 1/k, plus exact verification of the proximity
     bound 1/k and the sign-sum bound 2.  The sign-sum bound is checked,
     not proven: `verify hat --k 4 --samples 9` fails it with 52018/21255
-    (about 2.45) in instance 3.
+    (about 2.45) in instance 3, and `--k 3 --samples 30` with 16/7.
 
     Expects k^(k+1) grid vectors, the j-th supported in rows [1, k] and a
     column band that lies strictly after the previous one (first band
-    past column k), each with norm at most 1.
+    past column k), each with norm at most 1 in `engine` (by default a
+    new `NormEngine(tt_space())`).
 
-    The report's `max_ratio` is the largest sign sum of the selected
-    vectors, its verdict is True when both bounds hold and False
-    otherwise, and its witness is the selected indices, their cell and
-    the first sign pattern that attains the sign sum.
+    The report's `max_ratio` is the sign sum of the selected vectors, one
+    norm since their bands are disjoint (`max_sign_sum`), its verdict is
+    True when both bounds hold and False otherwise, and its witness is
+    the selected indices, their cell and the signs [1, ..., 1].
     """
-    caps = caps or get_caps()
+    engine = engine or NormEngine(tt_space())
     vecs = _grid_instance(k, w_list)
-    engine = NormEngine(tt_space(), caps)
     last_col = k
     for j, vec in enumerate(vecs, start=1):
         rows = {p[0] for p in vec.support()}
@@ -469,15 +469,15 @@ def hat_select(
 
 
 def select_c0_subsequence(
-    k: int, x_list: Sequence, caps: Optional[Caps] = None
+    k: int, x_list: Sequence, engine: Optional[NormEngine] = None
 ) -> tuple[list[int], tuple, VerifierReport]:
     """Split each normalized block x_j into its hat part (rows up to k)
     and its rectangle part, select indices through the grid pigeonhole on
     the hat parts, and measure the exact finite-linfty equivalence
-    constants of the selected blocks."""
-    caps = caps or get_caps()
+    constants of the selected blocks, all in `engine` (by default a new
+    `NormEngine(tt_space())`)."""
+    engine = engine or NormEngine(tt_space())
     vecs = _grid_instance(k, x_list)
-    engine = NormEngine(tt_space(), caps)
     n_prev = k
     for j, vec in enumerate(vecs, start=1):
         if engine.norm(vec) != 1:
@@ -492,9 +492,9 @@ def select_c0_subsequence(
         n_prev = max(n_prev + 1, extent)
 
     hats = [restrict(vec, range(1, k + 1)) for vec in vecs]
-    selected, cell, hat_report = hat_select(k, hats, caps)
+    selected, cell, hat_report = hat_select(k, hats, engine)
     chosen = [vecs[j - 1] for j in selected]
-    c_low, c_up = ell_infty_equivalence(chosen, tt_space(), caps)
+    c_low, c_up = ell_infty_equivalence(chosen, engine)
     passed: Union[bool, str] = "reported"
     if c_low < 1 or hat_report.passed is not True:
         passed = False
@@ -518,11 +518,10 @@ def select_c0_subsequence(
 # -- seeded instance generators (CLI and acceptance harnesses) -------------
 
 
-def random_hat_instance(k: int, rng: random.Random) -> list[SparseVec]:
+def random_hat_instance(k: int, rng: random.Random, engine: NormEngine) -> list[SparseVec]:
     """k^(k+1) vectors satisfying the hat-selection preconditions, with
     norms exactly 1 or a random fraction of 1."""
     M = k ** (k + 1)
-    engine = NormEngine(tt_space())
     out = []
     start = k + 1
     for _ in range(M):
@@ -541,11 +540,10 @@ def random_hat_instance(k: int, rng: random.Random) -> list[SparseVec]:
     return out
 
 
-def random_c0_instance(k: int, rng: random.Random) -> list[SparseVec]:
+def random_c0_instance(k: int, rng: random.Random, engine: NormEngine) -> list[SparseVec]:
     """k^(k+1) normalized blocks for the subsequence selection, each
     living between consecutive squares [1, n_j]^2."""
     M = k ** (k + 1)
-    engine = NormEngine(tt_space())
     out = []
     n_prev = k
     for _ in range(M):
@@ -572,21 +570,22 @@ def _sampled_report(
     make_instance, select, k: int, samples: int, seed: int, caps: Optional[Caps]
 ) -> VerifierReport:
     """Run `select` on `samples` instances drawn by `make_instance` from
-    one `random.Random(seed)` and merge their reports.
+    one `random.Random(seed)`, both in one `NormEngine(tt_space(), caps)`,
+    and merge their reports.
 
     `max_ratio` is the largest instance value.  The verdict is False once
     any instance fails and otherwise the instances' own.  The witness is
     the instance with the largest ratio (the first to reach it) or, once
     an instance has failed, the last instance that failed.
     """
-    caps = caps or get_caps()
     _check_sampled(k, samples)
+    engine = NormEngine(tt_space(), caps)
     rng = random.Random(seed)
     best = Fraction(0)
     witness = None
     failed = False
     for index in range(samples):
-        report = select(k, make_instance(k, rng), caps)[2]
+        report = select(k, make_instance(k, rng, engine), engine)[2]
         if report.passed is False or (not failed and report.max_ratio > best):
             witness = {"instance": index, **report.to_dict()["witness"]}
         failed = failed or report.passed is False
@@ -628,13 +627,12 @@ def spreading_witness(
     """Finite-linfty equivalence constants of k named blocks pushed
     `shift` components along the space: an upper-bound witness for the
     spreading-model constant, never a proof of the limit statement."""
-    caps = caps or get_caps()
     if not 1 <= k <= 12:  # `ell_infty_equivalence` takes 1 to 12 vectors
         raise InputError(f"k must be between 1 and 12, got {k}")
     if shift < 0:
         raise InputError(f"shift must be >= 0, got {shift}")
-    blocks = _named_blocks(space, block_gen, k, shift, caps)
-    return ell_infty_equivalence(blocks, space, caps)
+    engine = NormEngine(space, caps)
+    return ell_infty_equivalence(_named_blocks(engine, block_gen, k, shift), engine)
 
 
 def spreading_report(
@@ -645,6 +643,8 @@ def spreading_report(
     caps: Optional[Caps] = None,
     space_text: str = "",
 ) -> VerifierReport:
+    """`spreading_witness` as a report; `samples` is 2^(k-1), the sign
+    patterns that the one norm c_up covers."""
     c_low, c_up = spreading_witness(space, blocks, k, shift, caps)
     return VerifierReport(
         lemma="spreading",
@@ -661,10 +661,8 @@ def _unit_path(space: SpaceExpr, leading: int) -> tuple[int, ...]:
     return (leading,) + (1,) * (space_depth(space) - 1)
 
 
-def _named_blocks(
-    space: SpaceExpr, name: str, k: int, shift: int, caps: Caps
-) -> list[SparseVec]:
-    engine = NormEngine(space, caps)
+def _named_blocks(engine: NormEngine, name: str, k: int, shift: int) -> list[SparseVec]:
+    space = engine.space
     if name == "unit":
         return [
             SparseVec({_unit_path(space, shift + i): ONE}) for i in range(1, k + 1)

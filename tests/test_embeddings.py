@@ -434,28 +434,28 @@ class TestXpqBranches:
 
 class TestEllInftyEquivalence:
     def test_single_unit(self):
-        assert ell_infty_equivalence([unit(1)], parse_space("T")) == (1, 1)
+        assert ell_infty_equivalence([unit(1)], NormEngine(parse_space("T"))) == (1, 1)
 
     def test_tsirelson_block(self):
         vectors = [unit(j) for j in range(4, 8)]
         assert brute_force_tsirelson(sum(vectors[1:], vectors[0])) == 2
-        c_low, c_up = ell_infty_equivalence(vectors, parse_space("T"))
+        c_low, c_up = ell_infty_equivalence(vectors, NormEngine(parse_space("T")))
         assert (c_low, c_up) == (1, 2)
 
     def test_dual_pair(self):
-        c_low, c_up = ell_infty_equivalence([unit(2), unit(3)], parse_space("T*"))
+        c_low, c_up = ell_infty_equivalence([unit(2), unit(3)], NormEngine(parse_space("T*")))
         assert (c_low, c_up) == (1, 2)
 
     def test_overlap_rejected(self):
         with pytest.raises(InputError):
-            ell_infty_equivalence([unit(1), unit(1)], parse_space("T"))
+            ell_infty_equivalence([unit(1), unit(1)], NormEngine(parse_space("T")))
 
     def test_certified_inequality_on_rational_coefficients(self):
         rng = random.Random(37)
         vectors = [unit(2), unit(3) + F(1, 2) * unit(5), unit(7)]
         space = parse_space("T*")
         engine = NormEngine(space)
-        c_low, c_up = ell_infty_equivalence(vectors, space)
+        c_low, c_up = ell_infty_equivalence(vectors, NormEngine(space))
         for _ in range(25):
             coeffs = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in vectors]
             if all(c == 0 for c in coeffs):

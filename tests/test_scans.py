@@ -16,10 +16,11 @@ from banachlab import dual, verifiers
 from banachlab.caps import Caps
 from banachlab.dual import canonical_positions, dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
-from banachlab.errors import CapExceeded
+from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import Functional, NormEngine, chunkings, nonempty_subsets
+from banachlab.oracles import max_sign_sum_reference
 from banachlab.simplex import SimplexError, StandardFormSimplex
-from banachlab.spaces import parse_space
+from banachlab.spaces import parse_space, space_depth
 from banachlab.vectors import SparseVec, unit
 from banachlab.verifiers import (
     _blocks,
@@ -463,7 +464,30 @@ def test_max_sign_sum_matches_all_patterns(space):
             })
             for _ in range(rng.randint(1, 5))
         ]
-        assert max_sign_sum(engine, vectors) == _all_patterns(engine, vectors)
+        assert max_sign_sum_reference(engine, vectors) == _all_patterns(engine, vectors)
+
+
+DISJOINT_SPACES = ["T", "T*", "l1", "c0", "S(log2)", "sum(T*,repeat(T*))", "sum(lp(2),repeat(T))"]
+
+
+@pytest.mark.parametrize("space", DISJOINT_SPACES)
+def test_max_sign_sum_of_disjoint_blocks_matches_every_pattern(space):
+    # the last two spaces cover nested sums (tt_space()) and float norms
+    space = parse_space(space)
+    engine = NormEngine(space)
+    depth = space_depth(space)
+    paths = list(product(range(1, 4), repeat=2)) if depth == 2 else [(p,) for p in range(1, 9)]
+    rng = random.Random(11)
+    for _ in range(40):
+        blocks = [{} for _ in range(rng.randint(1, 4))]  # some may stay empty
+        for path in rng.sample(paths, rng.randint(1, 6)):
+            blocks[rng.randrange(len(blocks))][path] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        vectors = [SparseVec(block, depth=depth) for block in blocks]
+        got, want = max_sign_sum(engine, vectors), max_sign_sum_reference(engine, vectors)
+        assert got == want and type(got[0]) is type(want[0])
+    overlap = SparseVec({paths[0]: F(1)})
+    with pytest.raises(InputError, match="pairwise disjoint"):
+        max_sign_sum(engine, [overlap, SparseVec({paths[1]: F(1)}), overlap])
 
 
 def test_max_sign_sum_all_zero_has_no_signs():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from banachlab import verifiers
+from banachlab import embeddings, verifiers
 from banachlab.caps import Caps
 from banachlab.dual import dual_norm
 from banachlab.errors import CapExceeded, InputError
@@ -159,7 +159,7 @@ class TestHatSelect:
     def test_random_instances(self):
         rng = random.Random(51)
         for _ in range(5):
-            instance = random_hat_instance(2, rng)
+            instance = random_hat_instance(2, rng, NormEngine(tt_space()))
             indices, cell, report = hat_select(2, instance)
             assert len(indices) == 2 and indices[0] < indices[1]
             assert report.passed is True
@@ -170,7 +170,7 @@ class TestHatSelect:
 
     def test_support_outside_rows(self):
         rng = random.Random(52)
-        instance = random_hat_instance(2, rng)
+        instance = random_hat_instance(2, rng, NormEngine(tt_space()))
         bad = list(instance)
         bad[0] = bad[0] + F(1, 10) * unit((3, 100))
         with pytest.raises(InputError):
@@ -178,7 +178,7 @@ class TestHatSelect:
 
     def test_band_violation(self):
         rng = random.Random(53)
-        instance = random_hat_instance(2, rng)
+        instance = random_hat_instance(2, rng, NormEngine(tt_space()))
         bad = list(instance)
         bad[-1] = unit((1, 3))  # reuses the first band
         with pytest.raises(InputError):
@@ -211,7 +211,7 @@ class TestSelectC0:
 
     def test_random_instances(self):
         rng = random.Random(61)
-        instance = random_c0_instance(2, rng)
+        instance = random_c0_instance(2, rng, NormEngine(tt_space()))
         indices, (c_low, c_up), report = select_c0_subsequence(2, instance)
         assert c_low >= 1
         assert len(indices) == 2
@@ -282,7 +282,7 @@ class TestSampledMerge:
                 bound_claimed="b",
             )
 
-        monkeypatch.setattr(verifiers, instance, lambda k, rng: next(draws))
+        monkeypatch.setattr(verifiers, instance, lambda k, rng, engine: next(draws))
         monkeypatch.setattr(verifiers, select, scripted)
         merged = report(1, samples=len(script), seed=5)
         assert (merged.lemma, merged.params, merged.bound_claimed) == ("scripted", {"k": 1}, "b")
@@ -290,6 +290,37 @@ class TestSampledMerge:
         assert merged.max_ratio == best
         assert merged.passed == (False if fails else verdict)
         assert merged.witness == {"instance": witness, "tag": witness}
+
+
+class TestOneEnginePerRun:
+    @pytest.mark.parametrize("report", [hat_sampled_report, c0_sampled_report])
+    def test_caller_caps_win_over_the_environment(self, report, monkeypatch):
+        monkeypatch.delenv("BANACHLAB_CAPS", raising=False)
+        plain = report(2, samples=1, caps=Caps())
+        monkeypatch.setenv("BANACHLAB_CAPS", "dual=1")
+        assert report(2, samples=1, caps=Caps()) == plain
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: hat_sampled_report(2, samples=3),
+            lambda: c0_sampled_report(2, samples=3),
+            lambda: spreading_witness(parse_space("T*"), "doubleton", 3, 2),
+        ],
+        ids=["hat", "c0-subseq", "spreading"],
+    )
+    def test_one_engine_per_run(self, run, monkeypatch):
+        built = []
+
+        class Counted(NormEngine):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(verifiers, "NormEngine", Counted)
+        monkeypatch.setattr(embeddings, "NormEngine", Counted)
+        run()
+        assert len(built) == 1
 
 
 class TestSpreading:
