@@ -33,10 +33,6 @@ of e_p or of its negation; each deeper one enters as a column.  The
 inverse is computed as for the cold start.  A warm start changes the
 pivots, never the value: the loop still stops only when the DP
 certifies the dual vector.
-
-The 0/1 pool.  `dual01_pool` gives ||1_S|| for position sets S, one LP
-per class of clipped positions min(s_i, |S| - i), run on the canonical
-position set of the class and warm-started from a smaller class.
 """
 
 from __future__ import annotations
@@ -46,6 +42,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .caps import Caps, get_caps
+from .classes import canonical_positions
 from .errors import InputError
 from .norms import Functional, tsirelson_norm_witness
 from .simplex import SimplexError, StandardFormSimplex
@@ -136,41 +133,12 @@ def dual_norm(
     return LPResult(value, y, tuple(map(functional, sx.basis)))
 
 
-def canonical_positions(subset: tuple, caps: Caps) -> tuple:
-    """The canonical position set rep(S) of the class of a sorted
-    position tuple S = (s_0, ..., s_{m-1}) in `dual01_pool`: s_i where
-    s_i < m - i, and 2 caps.dual - (m - 1 - i) otherwise."""
-    m = len(subset)
-    caps.check("dual", m)  # past it rep(S) need not increase
-    return tuple(p if p < m - i else 2 * caps.dual - (m - 1 - i) for i, p in enumerate(subset))
-
-
 def dual01_pool(caps: Caps) -> Callable[[tuple], Fraction]:
     """||1_S|| in the dual norm for sorted position tuples S, one LP per
-    class c(S), c_i = min(s_i, m - i), m = |S|.
-
-    Functionals move between the sets of one class.  A functional of the
-    norming set K supported in S is +-e_p or 1/2 (f_1 + ... + f_n) with
-    f_j in K of successive nonempty supports and n <= min supp f_1.  If
-    supp f_1 starts at s_i, the n supports are disjoint nonempty subsets
-    of s_i < ... < s_{m-1}, so n <= m - i holds anyway and n <= s_i
-    holds iff n <= c_i.  This is every admissibility test in the tree of
-    the functional, so for S' with c(S') = c(S) the order isomorphism
-    S -> S' maps K restricted to S onto K restricted to S', term by term
-    with the same coefficients.  The LP of 1_S and the LP of 1_S' are
-    then the same program up to that map, and ||1_S|| = ||1_S'||.
-
-    Canonical positions.  For m <= caps.dual, R = rep(S) =
-    `canonical_positions(S, caps)` (a) increases strictly up to
-    2 caps.dual: the s_i < m - i form a prefix (s_i increases, m - i
-    decreases) below m, and the other r_i exceed caps.dual >= m; (b) lies
-    in the class of S, as those r_i are >= m - i; (c) has R[1:] =
-    rep(S[1:]): dropping s_0 moves s_i to index i - 1 of m - 1 points,
-    with the same bound m - i and the same r_i.  The memo is keyed by R,
-    so each class is solved once, on R, in any query order.  Its LP
-    starts from +e_{r_0} and the stored certificate of R[1:], which are
-    functionals of K supported in R; the basic solution of that start is
-    the one of R[1:] with 1 on r_0, so it is feasible."""
+    class of S at slack 0 (`classes`), as the LPs of a class are one program.
+    Each class is solved once, on R = `canonical_positions(S, caps)`, in any
+    query order, from +e_{r_0} and the stored certificate of rep(S[1:]) =
+    R[1:]: a feasible basis, with the basic solution of R[1:] and 1 on r_0."""
     return _Dual01Pool(caps)
 
 

@@ -49,6 +49,7 @@ from operator import add
 from typing import Optional
 
 from .caps import Caps, get_caps
+from .classes import clipped_class
 from .errors import InputError
 from .spaces import (
     Lp,
@@ -376,19 +377,12 @@ class NormEngine:
     spaces evaluate directly: a scan seldom hands the top level one
     vector twice, and an lp norm of a few terms costs less than hashing
     its key.  M and S(f) key their memo by the vector, T and T* by the
-    clipped-position class of x: the (min(s_i, m - i), |x_i|) over the
-    support s_0 < ... < s_{m-1}, m = |supp x|.  On a miss they evaluate
-    x itself.  Both norms are constant on a class.  In T, `_TsirelsonDP`
-    reads |x_i| only, and positions only through the part count
-    min(pos[s], j - s + 1) = min(min(pos[s], m - s), j - s + 1) of a
-    start s in [i..j] (the lowest count it fills, a bound from pos[0],
-    skips only counts no family reaches).  In T*, the argument of
-    `dual01_pool`, which reads no coefficient, maps the norming
-    functionals on one support of a class onto those on another, term
-    by term, so the two LPs are one program; and +-K_S is closed under
-    coordinate sign flips (flip e_p at the leaves), so the polytope
-    {y : f(y) <= 1, f in +-K_S} is too, and the signs of x do not
-    change the LP's value.
+    class of supp x at slack 0 (`classes`) paired with the |x_i|, and on
+    a miss evaluate x itself.  `_TsirelsonDP` reads |x_i|, and positions
+    only through part counts min(pos[s], j - s + 1), j - s + 1 <= m - s
+    (its lowest count, from pos[0], skips only counts no family reaches).
+    The T* LP is one program on each support of a class, and +-K_S is
+    closed under sign flips, so the signs of x do not change its value.
 
     A distortion scan takes ||f(a) - f(b)|| over every pair without
     building f(a) - f(b).  `_split` cuts each image of a `Sum` into its
@@ -441,8 +435,8 @@ class NormEngine:
             return self._evaluate(x)
         key = x
         if self._by_class:
-            m = len(x)
-            key = tuple((min(p, m - i), abs(v)) for i, ((p,), v) in enumerate(sorted(x.items())))
+            items = sorted(x.items())
+            key = tuple(zip(clipped_class([p for (p,), _ in items], 0), (abs(v) for _, v in items)))
         value = memo.get(key)
         if value is None:
             value = memo[key] = self._evaluate(x)

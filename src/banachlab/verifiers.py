@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
+from .classes import subset_classes
 from .dual import dual01_pool
 from .embeddings import ell_infty_equivalence, max_sign_sum
 from .errors import CapExceeded, InputError
@@ -69,21 +70,6 @@ def _check_sampled(k: int, samples: int) -> None:
 
 
 # -- block inequalities in the dual norm --------------------------------
-
-
-def _union_class(union: tuple) -> tuple:
-    """min(u_i, |U| - i + 1), one point looser than the `dual01_pool` classes."""
-    return tuple(min(p, len(union) + 1 - i) for i, p in enumerate(union))
-
-
-def _union_classes(max_support: int) -> Iterable[list]:
-    """[class size, first union] for each `_union_class` of the nonempty
-    U in [1, max_support], in the `nonempty_subsets` order of the first
-    unions."""
-    classes: dict[tuple, list] = {}
-    for union in nonempty_subsets(tuple(range(1, max_support + 1))):
-        classes.setdefault(_union_class(union), [0, union])[0] += 1
-    return classes.values()
 
 
 def _blocks(union: tuple, variant: str) -> Iterator[list]:
@@ -162,17 +148,14 @@ def verify_block_c0(
     relaxed: at most min supp(x_2).  The strict bound 2 and relaxed
     bound 3 are hard assertions.
 
-    Only the first union U of each class c'_i = min(u_i, |U| - i + 1)
-    is scanned, its families counted by the class size.  Within a class,
-    the families of one union map to those of another by the order
-    isomorphism, with the same ratios and in the same order: a block
-    starting at u_i holds at most |U| - i points, so its 0/1 class
-    (`dual01_pool`) is a function of c'; n <= u_0 with n <= |U| is
-    n <= c'_0; and if x_2 starts at u_k, n - 1 <= |U| - k, so n <= u_k
-    is n <= c'_k.  The first union attaining the maximum is the first of
-    its class, so the witness is the first attaining family of the full
-    enumeration.  The dual norms are kept as integer pairs and the
-    ratios cross-multiplied; only the maximum becomes a `Fraction`.
+    Only the first union U of each class at slack 1 (`classes`) is
+    scanned, its families counted by the class size.  A block starting
+    at u_i holds at most |U| - i points, so its slack-0 class is a
+    function of the slack-1 class of U.  Relaxed admissibility needs the
+    slack: if x_2 starts at u_k, n - 1 <= |U| - k, so n <= u_k binds up
+    to n = |U| - k + 1.  A class's first union comes first, so the
+    witness is the first attaining family of the full enumeration.  The
+    dual norms are integer pairs, their ratios cross-multiplied.
     """
     caps = caps or get_caps()
     if variant not in ("strict", "relaxed"):
@@ -189,7 +172,7 @@ def verify_block_c0(
         return pair
 
     best_num, best_den, witness, families = 0, 1, None, 0
-    for size, union in _union_classes(max_support):
+    for size, union in subset_classes(max_support, 1):
         total_num, total_den = values.get(union) or solve(union)
         for parts in _blocks(union, variant):
             families += size

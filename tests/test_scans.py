@@ -14,7 +14,8 @@ import pytest
 
 from banachlab import dual, verifiers
 from banachlab.caps import Caps
-from banachlab.dual import canonical_positions, dual01_pool, dual_norm
+from banachlab.classes import canonical_positions, clipped_class, subset_classes
+from banachlab.dual import dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
 from banachlab.errors import CapExceeded, InputError
 from banachlab.norms import Functional, NormEngine, chunkings, nonempty_subsets
@@ -26,8 +27,6 @@ from banachlab.verifiers import (
     _blocks,
     _max_disjoint_ratio,
     _stirling2,
-    _union_class,
-    _union_classes,
     c0_sampled_report,
     estimate_dm,
     hat_sampled_report,
@@ -285,24 +284,22 @@ def test_union_clip_needs_its_slack(monkeypatch):
     # relaxed admissibility n <= u_k can bind up to n = |U| - k + 1, one
     # past the clip of the 0/1 classes, which merges unions it tells apart
     want = verify_block_c0(9, "relaxed", Caps())
-    monkeypatch.setattr(
-        verifiers, "_union_class", lambda s: tuple(min(p, len(s) - i) for i, p in enumerate(s))
-    )
+    monkeypatch.setattr(verifiers, "subset_classes", lambda n, slack: subset_classes(n, 0))
     got = verify_block_c0(9, "relaxed", Caps())
     assert (got.samples, got.witness) != (want.samples, want.witness)
 
 
 def test_union_classes_tile_the_subsets():
-    # every union in exactly one class, each class under its first union
-    for max_support in range(1, 11):
-        classes = _union_classes(max_support)
-        assert sum(size for size, _ in classes) == 2**max_support - 1
-        keys = [_union_class(union) for _, union in classes]
-        assert len(set(keys)) == len(keys)
-        firsts = {}
+    # every subset in exactly one class, each class under its first
+    # subset, against a walk over the subsets
+    for slack, max_support in product((0, 1), range(1, 15)):
+        walk = {}
         for union in nonempty_subsets(tuple(range(1, max_support + 1))):
-            firsts.setdefault(_union_class(union), union)
-        assert [union for _, union in classes] == list(firsts.values())
+            walk.setdefault(clipped_class(union, slack), [0, union])[0] += 1
+        classes = subset_classes(max_support, slack)
+        assert sum(size for size, _ in classes) == 2**max_support - 1
+        assert [clipped_class(union, slack) for _, union in classes] == list(walk)
+        assert [list(c) for c in classes] == list(walk.values())
 
 
 @pytest.mark.parametrize("kind, a, b", [
@@ -313,7 +310,7 @@ def test_pool_matches_cold_lp_in_family_order(kind, a, b, monkeypatch):
     # which its scan reaches each class LP
     pooled = dual01_pool(Caps())
     if kind == "block":
-        scan = ((union, parts) for _, union in _union_classes(a) for parts in _blocks(union, b))
+        scan = ((union, parts) for _, union in subset_classes(a, 1) for parts in _blocks(union, b))
         asked = [subset for union, parts in scan for subset in (union, *parts)]
     else:
         asked = []  # the subsets the walk of `estimate_dm` asks for, in order
