@@ -29,10 +29,16 @@ The modified norm, a maximum over families of disjoint sets, is an
 integer bitmask subset DP with the same scaling: support point i is bit
 i, masks are filled in increasing order (every submask comes first),
 and a partition of a mask into n parts is searched with the part
-holding its lowest bit first.  The partition-scaled (gauge) norm is a
-bottom-up interval DP in floats, shaped like the Tsirelson loop but
-without the admissibility constraint: it fills every part count and
-weighs each by its own 1/f(k), so the two keep separate loops.
+holding its lowest bit first.  As in the T DP, only the part counts
+that can win are searched.  n parts on mask S use the points V_n of S
+at positions >= n.  Splitting a part cannot lower the sum of part
+norms, and V_k = V_n for n <= k <= min V_n, so k = min(|V_n|, min V_n)
+dominates counts n..k.  When min supp >= |supp| only |supp| is left,
+the split into points: M(x) = max(|x|_inf, |x|_1 / 2).  The
+partition-scaled (gauge) norm is a bottom-up interval DP in floats,
+shaped like the Tsirelson loop but without the admissibility
+constraint: it fills every part count and weighs each by its own
+1/f(k), so the two keep separate loops.
 `lp_norm` evaluates lp vectors and the lp outer norms of sums alike, and
 shares one float-range routine with the gauge norm.  Every recursion
 bottoms out in coordinate absolute values.
@@ -207,7 +213,8 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
     S, times lcm(denominators) * 2^(m-1).  A family of n parts may use
     the points S & elig[n] (position >= n), and uses all of them: the
     norm is unconditional, so adding a point to a part never lowers it.
-    The search over set partitions is exponential, hence the cap."""
+    The module docstring shows which counts are searched.  The search
+    over set partitions is exponential, hence the cap."""
     caps = caps or get_caps()
     if x and x.depth != 1:
         raise InputError("the modified norm is defined on depth-1 vectors")
@@ -219,19 +226,26 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
     m = len(pos)
     scale = lcm(*(c.denominator for c in coef)) << (m - 1)
     mag = [abs(c.numerator) * (scale // c.denominator) for c in coef]
-    elig = [sum(1 << i for i in range(m) if pos[i] >= n) for n in range(m + 1)]
-    size = [0] * (1 << m)
-    for S in range(1, 1 << m):
-        size[S] = size[S >> 1] + (S & 1)
+    elig = [sum(1 << i for i in range(m) if pos[i] >= n) for n in range(m + 2)]
+    size, total, top = [0] * (1 << m), [0] * (1 << m), [0] * (1 << m)
+    for S in range(1, 1 << m):  # |S|, sum and max of mag from S minus its low bit
+        rest = S & (S - 1)
+        a = mag[(S ^ rest).bit_length() - 1]
+        size[S] = size[rest] + 1
+        total[S] = total[rest] + a
+        top[S] = a if a > top[rest] else top[rest]
     norm = [0] * (1 << m)
     # parts[n][V]: best sum of part norms over partitions of V into n
     # parts, -1 until computed; one part is the norm itself
     parts = [norm, norm] + [[-1] * (1 << m) for _ in range(2, m + 1)]
 
     def best_partition(V: int, n: int) -> int:
-        """Fill parts[n][V].  The part holding the lowest bit of V comes
-        first; the walk over its other members keeps only the splits
-        that leave at least n-1 points for the other parts."""
+        """Fill parts[n][V], total[V] if each part is a point.  Else the
+        part holding the lowest bit of V comes first; the walk over its
+        other members keeps the splits leaving n-1 points for the rest."""
+        if size[V] == n:
+            parts[n][V] = total[V]
+            return total[V]
         low = V & -V
         rest = V ^ low
         tails = parts[n - 1]
@@ -251,16 +265,15 @@ def modified_norm(x: SparseVec, caps: Optional[Caps] = None) -> Fraction:
         return best
 
     for S in range(1, 1 << m):
-        best = max(mag[i] for i in range(m) if S >> i & 1)
-        for n in range(2, size[S] + 1):
-            V = S & elig[n]
-            if size[V] < n:
-                break
-            total = parts[n][V]
-            if total < 0:
-                total = best_partition(V, n)
-            if total >> 1 > best:
-                best = total >> 1
+        best, n = top[S], 2
+        while size[V := S & elig[n]] >= n:
+            n = min(size[V], pos[(V & -V).bit_length() - 1])  # the count that wins on V
+            found = parts[n][V]
+            if found < 0:
+                found = best_partition(V, n)
+            if found >> 1 > best:
+                best = found >> 1
+            n += 1
         norm[S] = best
     return Fraction(norm[-1], scale)
 

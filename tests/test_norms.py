@@ -298,10 +298,44 @@ class TestModifiedNorm:
         assert modified_norm(vec(text)) == F(value)
 
     def test_support_12_completes(self):
-        # every part is eligible at every part count: the largest search
-        # the cap allows
+        # every part is eligible at every part count, so only the largest
+        # count is searched: the closed form below
         x = vec("12:5/3,13:1,14:3,15:1/2,16:1/6,17:5/6,18:-1/5,19:-5/6,20:-1/2,21:1,22:1,23:-1")
         assert modified_norm(x) == F(117, 20)
+
+    def test_support_12_costliest_layout(self):
+        # a low start leaves the most part counts to search: positions
+        # 3..14 are among the costliest layouts at the cap; the value is
+        # that of the search over every count
+        x = vec("3:5/3,4:1,5:3,6:1/2,7:1/6,8:5/6,9:-1/5,10:-5/6,11:-1/2,12:1,13:1,14:-1")
+        assert modified_norm(x) == F(451, 120)
+
+    def test_skipped_part_counts_against_set_oracle(self):
+        # positions in 1..2m cross the support size m, so the search steps
+        # over runs of part counts, two runs on the full mask of three
+        # of these vectors
+        rng = random.Random(2027)
+        for _ in range(60):
+            m = rng.randint(2, 8)
+            coef = {
+                p: F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 7))
+                for p in rng.sample(range(1, 2 * m + 1), m)
+            }
+            x = SparseVec({(p,): c for p, c in coef.items()})
+            assert modified_norm(x) == brute_modified(coef), coef
+
+    def test_closed_form_when_every_count_is_admissible(self):
+        # min supp >= |supp|: every count is admissible, and the largest,
+        # |supp|, splits x into its points, so M(x) = max(|x|_inf, |x|_1 / 2)
+        rng = random.Random(4111)
+        for m in list(range(1, 13)) * 4:
+            start = rng.randint(m, 2 * m + 4)
+            positions = sorted(rng.sample(range(start, start + 2 * m), m))
+            coef = [F(rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]), rng.randint(1, 7)) for _ in range(m)]
+            x = SparseVec({(p,): c for p, c in zip(positions, coef)})
+            mags = [abs(c) for c in coef]
+            got = modified_norm(x)
+            assert (got, type(got)) == (max(max(mags), sum(mags) / 2), F), x
 
 
 
