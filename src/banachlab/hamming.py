@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
+from operator import ne
 from typing import Callable, Iterable, Iterator, Optional
 
 from .caps import Caps, get_caps
@@ -42,15 +43,11 @@ def parse_ksubset(text: str) -> KSubset:
     return make_ksubset(values)
 
 
-def differing_positions(a: KSubset, b: KSubset) -> list[int]:
-    """1-based positions where the increasing enumerations differ."""
+def hamming_distance(a: KSubset, b: KSubset) -> int:
+    """The number of positions where the increasing enumerations differ."""
     if len(a) != len(b):
         raise InputError(f"mismatched k: {len(a)} != {len(b)}")
-    return [i + 1 for i, (x, y) in enumerate(zip(a, b)) if x != y]
-
-
-def hamming_distance(a: KSubset, b: KSubset) -> int:
-    return len(differing_positions(a, b))
+    return sum(map(ne, a, b))
 
 
 def johnson_distance(a: KSubset, b: KSubset) -> Fraction:
@@ -101,7 +98,8 @@ class HammingSpace:
         """The norm of the indicator of the differing-position set."""
         self._check(a)
         self._check(b)
-        F = tuple(differing_positions(a, b))
+        # the 1-based positions where the increasing enumerations differ
+        F = tuple(compress(count(1), map(ne, a, b)))
         if not F:
             return Fraction(0)
         value = self._distances.get(F)

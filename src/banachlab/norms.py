@@ -401,14 +401,27 @@ class NormEngine:
     building f(a) - f(b).  `_split` cuts each image of a `Sum` into its
     summand parts once, splits each part in a nested `Sum` in turn, and
     interns the parts per summand (a split one by the identities of its
-    own parts), so equal parts are one object at every level.
-    `_pair_norm` descends only into summands whose parts differ.  It
-    memoizes under (k, part of f(a), part of f(b)) where the summand's
-    engine memoizes, at most P_k (P_k - 1) entries for P_k distinct
-    parts in summand k, and where a nested part (keyed by identity)
-    meets a missing one, at most 2 P_k; a memo on the other pairs would
-    grow with the pair count.  The summands of a `Repeat` share one
-    engine.
+    own parts), so equal parts are one object at every level, alive as
+    long as the engine.  A pair descends only into summands whose parts
+    differ, and costs a few dict lookups on small ints:
+    - each engine hands its norms to a pair path as codes, indices into
+      `_values`, interned by (value, type), so Fraction(2) and 2.0 stay
+      apart;
+    - the pair memo maps (k, id(part of f(a)), id(part of f(b))) to
+      (k, code of the part norm) for a summand that is not a nested
+      `Sum`, at most P_k (P_k - 1) entries for P_k distinct parts in
+      summand k, and for a nested part that the other image lacks, at
+      most 2 P_k; a memo on the other nested pairs would grow with the
+      pair count;
+    - the pattern memo `_outers` maps the tuple of those (k, code) in
+      increasing k, a nested summand's code being its own engine's, to
+      the code of the outer norm.  A miss takes `_outer_norm` of the
+      same part values in the same k order.
+    The pattern memo stops at `_outer_bound`, the square of the parts
+    interned.  Past it a miss returns the value itself, neither stored
+    nor interned, and a parent that meets such a value in its pattern
+    takes its own outer norm directly and returns that value too.  The
+    summands of a `Repeat` share one engine.
 
     The outer norm of a `Sum` takes the part norms in increasing k, as
     they are through `lp_norm` for an lp outer, and through any other
@@ -431,9 +444,14 @@ class NormEngine:
         self._by_class = isinstance(space, (Tsirelson, TsirelsonDual))
         self._outer = NormEngine(space.outer, self.caps) if isinstance(space, Sum) else None
         self._inner: dict[int, NormEngine] = {}
-        # for `_split` and `_pair_norm` over a `Sum`
+        self._nested = isinstance(space, Sum) and isinstance(space.inner_at(1), Sum)
+        # for `_split` and `_pair_code` over a `Sum`
         self._parts: dict[tuple, SparseVec | dict] = {}
-        self._pairs: dict[tuple, Fraction | float] = {}
+        self._pairs: dict[tuple, tuple[int, int]] = {}
+        self._outers: dict[tuple, int] = {}
+        # the norms this engine has handed to a pair path, by code
+        self._codes: dict[tuple, int] = {}
+        self._values: list[Fraction | float] = []
 
     def norm(self, x: SparseVec) -> Fraction | float:
         validate_vector(self.space, x)
@@ -481,7 +499,7 @@ class NormEngine:
 
     def _split(self, x: SparseVec) -> dict:
         """The parts of a valid vector of this `Sum` by summand, in
-        increasing k, each interned per summand for `_pair_norm`.  A part
+        increasing k, each interned per summand for `_pair_code`.  A part
         in a nested `Sum` is split in turn and interned as its split,
         under its summand indices and the identities of its own parts."""
         seen, split = self._parts, {}
@@ -498,28 +516,70 @@ class NormEngine:
     def _pair_norm(self, a: dict, b: dict):
         """||x - y|| for the `_split`s a of x and b of y: the value
         `_sum_norm` gives, without building x - y."""
-        space, memo, inner = self.space, self._pairs, self._inner
-        part_norms = {}
+        code = self._pair_code(a, b)
+        return self._values[code] if type(code) is int else code
+
+    def _pair_code(self, a: dict, b: dict):
+        """The code of ||x - y|| in this engine's `_values`, or the norm
+        itself where it is not stored."""
+        pairs, inner = self._pairs, self._inner
+        nested = self._nested
+        pattern = []
+        coded = True
         for k in a.keys() if a.keys() == b.keys() else sorted(a.keys() | b.keys()):
             part_a = a.get(k)
             part_b = b.get(k)
             if part_a is part_b:
                 continue
-            engine = inner.get(k) or self._inner_engine(space, k)
-            nested = isinstance(engine.space, Sum)
-            key = (k, id(part_a), id(part_b)) if nested else (k, part_a, part_b)
-            value = memo.get(key)
-            if value is None:
-                if nested:
-                    value = engine._pair_norm(part_a or {}, part_b or {})
-                elif part_a is None or part_b is None:
-                    value = engine._norm(-part_b if part_a is None else part_a)
-                else:
-                    value = engine._norm(part_a - part_b)
-                if engine._memo is not None or nested and (part_a is None or part_b is None):
-                    memo[key] = value
-            part_norms[k] = value
-        return self._outer_norm(part_norms)
+            if nested and part_a is not None and part_b is not None:
+                entry = (k, inner[k]._pair_code(part_a, part_b))
+            else:
+                key = (k, id(part_a), id(part_b))
+                entry = pairs.get(key) or self._part_entry(key, inner[k], part_a, part_b)
+            if nested and type(entry[1]) is not int:
+                coded = False
+            pattern.append(entry)
+        pattern = tuple(pattern)
+        outers = self._outers
+        code = outers.get(pattern) if coded else None
+        if code is None:
+            value = self._outer_norm(
+                {k: inner[k]._values[c] if type(c) is int else c for k, c in pattern}
+            )
+            if not coded or len(outers) >= self._outer_bound():
+                return value
+            code = outers[pattern] = self._code(value)
+        return code
+
+    def _part_entry(self, key: tuple, engine: "NormEngine", part_a, part_b) -> tuple:
+        """(k, code of summand k's part norm) for a pair missing from the
+        pair memo, stored there unless the code came back as a value.  A
+        nested summand comes here only for a part the other image lacks."""
+        if isinstance(engine.space, Sum):
+            code = engine._pair_code(part_a or {}, part_b or {})
+        elif part_a is None or part_b is None:
+            code = engine._code(engine._norm(-part_b if part_a is None else part_a))
+        else:
+            code = engine._code(engine._norm(part_a - part_b))
+        entry = (key[0], code)
+        if type(code) is int:
+            self._pairs[key] = entry
+        return entry
+
+    def _outer_bound(self) -> int:
+        """Most patterns `_outers` holds: the square of the parts `_split`
+        has interned, which also bounds the pair memo."""
+        return len(self._parts) ** 2
+
+    def _code(self, value) -> int:
+        """The code of a norm value in this engine's `_values`, keyed by
+        its type too, so that Fraction(2) and 2.0 stay apart."""
+        key = (value, type(value))
+        code = self._codes.get(key)
+        if code is None:
+            code = self._codes[key] = len(self._values)
+            self._values.append(value)
+        return code
 
     def _outer_norm(self, part_norms: dict[int, Fraction | float]):
         """The outer norm of the inner norms by summand, given in

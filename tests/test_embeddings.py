@@ -28,7 +28,7 @@ from banachlab.embeddings import (
 )
 from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import hamming_distance
-from banachlab.norms import NormEngine, lp_norm
+from banachlab.norms import NormEngine, lp_norm, tsirelson_norm
 from banachlab.oracles import brute_force_tsirelson, distortion_report_reference
 from banachlab.spaces import parse_space, register_gauge
 from banachlab.vectors import SparseVec, parse_vector, unit
@@ -158,8 +158,8 @@ class TestDistortion:
         }
 
     def test_xpq_memory_stays_below_a_memo_on_every_summand(self):
-        # 3,486 pairs; the pair memo covers only summands over T, T*, M
-        # and S(f) and nested parts that the other image lacks, and a
+        # 3,486 pairs; the pair memo covers the summands that are not
+        # nested sums and nested parts that the other image lacks, and a
         # memo on the nested sums of the tree would keep a part
         # difference per pair (about 0.6 MiB at this n)
         spec = XpqBranch(F(2), F(1), 3)
@@ -221,6 +221,21 @@ def _nested_array():
     return ArrayEmbed(array, 2, space)
 
 
+def _distinct_array(n, seed=5):
+    """A 2-row array into sum(l1,repeat(T)) of seeded 4-point rational
+    vectors on 1..11, each normalised in T, so that nearly every pair of
+    images has its own part norms and outer pattern."""
+    rng = random.Random(seed)
+    array = {}
+    for m in range(1, n + 1):
+        for i in (1, 2):
+            positions = sorted(rng.sample(range(1, 12), 4))
+            vec = SparseVec({(p,): F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for p in positions})
+            vec = (1 / tsirelson_norm(vec)) * vec
+            array[(i, 2 * m + i)] = SparseVec({(i,) + p: c for p, c in vec.items()})
+    return ArrayEmbed(array, 2, parse_space("sum(l1,repeat(T))"))
+
+
 PAIR_CASES = {
     "prop73-p1": lambda: Prop73(F(1), 2),
     "prop73-p2": lambda: Prop73(F(2), 2),
@@ -277,12 +292,7 @@ class TestPairNorms:
 
     @pytest.mark.parametrize("space, x, y", NESTED)
     def test_nested_pairs_match_the_built_difference(self, space, x, y):
-        engine = NormEngine(parse_space(space))
-        x, y = parse_vector(x), parse_vector(y)
-        for u, v in ((x, y), (y, x), (x, SparseVec(depth=3)), (x, x)):
-            got = engine._pair_norm(engine._split(u), engine._split(v))
-            want = engine.norm(u - v)
-            assert (got, type(got)) == (want, type(want)), (u, v)
+        _check_nested_pairs(space, x, y)
 
     @pytest.mark.parametrize("a, b", [((1, 2, 3), (1, 2, 5)), ((1, 3, 4), (2, 3, 4)), ((1, 2, 3), (4, 5, 6))])
     def test_xpq_pair_matches_the_built_difference(self, a, b):
@@ -292,6 +302,59 @@ class TestPairNorms:
         got = engine._pair_norm(engine._split(x), engine._split(y))
         want = engine.norm(x - y)
         assert (got, type(got)) == (want, type(want))
+
+    def test_outer_patterns_stop_at_their_bound(self):
+        # 990 pairs of 45 images with 18 distinct parts: the pattern memo
+        # fills at 18^2 = 324 entries, and each later miss is evaluated
+        # and returned without storing or interning its value
+        spec = _distinct_array(10)
+        engine, check = NormEngine(spec.space), NormEngine(spec.space)
+        images = {m: embed(spec, m) for m in combinations(range(1, 11), 2)}
+        splits = {m: engine._split(x) for m, x in images.items()}
+        for a, b in combinations(images, 2):
+            got = engine._pair_norm(splits[a], splits[b])
+            want = check.norm(images[a] - images[b])
+            assert (got, type(got)) == (want, type(want)), (a, b)
+        bound = engine._outer_bound()
+        assert bound == 18**2 and len(engine._outers) == bound
+        assert len(engine._values) <= bound
+
+    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
+    def test_uncoded_values_when_no_pattern_is_stored(self, case, monkeypatch):
+        # with the bound at 0 every outer norm comes back as a value, and a
+        # parent takes its own outer norm from every summand's value
+        monkeypatch.setattr(NormEngine, "_outer_bound", lambda self: 0)
+        spec = PAIR_CASES[case]()
+        engine = NormEngine(ambient_space(spec))
+        for a, b, _, value in distortion_pairs(spec, "hamming", 6):
+            want = engine.norm(embed(spec, a) - embed(spec, b))
+            assert (value, type(value)) == (want, type(want)), (a, b)
+
+    @pytest.mark.parametrize("space, x, y", NESTED)
+    def test_uncoded_nested_values_match_the_built_difference(self, space, x, y, monkeypatch):
+        monkeypatch.setattr(NormEngine, "_outer_bound", lambda self: 0)
+        _check_nested_pairs(space, x, y)
+
+    def test_a_fraction_and_an_equal_float_keep_their_types(self):
+        # the l2 outer returns a lone part norm 5 as it is, and 3, 4 as the
+        # float 5.0: one engine meets both, in either order
+        zero, lone, two = SparseVec(depth=2), parse_vector("1.1:5"), parse_vector("1.1:3,2.1:4")
+        for order in ((lone, two), (two, lone)):
+            engine = NormEngine(parse_space("sum(lp(2),repeat(l1))"))
+            for x in order:
+                got = engine._pair_norm(engine._split(x), engine._split(zero))
+                want = engine.norm(x)
+                assert (got, type(got)) == (want, type(want))
+            assert engine._values[0] == engine._values[1] and set(map(type, engine._values)) == {F, float}
+
+    def test_outer_patterns_keep_their_summands(self):
+        # every part norm is 1, one code; the outer T reads where they sit:
+        # T(1, 1, 1) is 3/2 at positions 3, 4, 5 and 1 at 1, 4, 5
+        engine = NormEngine(parse_space("sum(T,repeat(l1))"))
+        zero = engine._split(SparseVec(depth=2))
+        for x, want in (("3.1:1,4.1:1,5.1:1", F(3, 2)), ("1.1:1,4.1:1,5.1:1", F(1))):
+            got = engine._pair_norm(engine._split(parse_vector(x)), zero)
+            assert (got, type(got)) == (want, F), x
 
     def test_nested_array_has_the_cases_it_names(self):
         spec = _nested_array()
@@ -309,6 +372,17 @@ class TestPairNorms:
         spec = _gauge_array()
         values = [e.norm(unit(1) - unit(2)) for e in (NormEngine(spec.space.inner_at(k)) for k in (1, 2))]
         assert values[0] != values[1]
+
+
+def _check_nested_pairs(space, x, y):
+    """The pair path against the built difference, value and type, on
+    x, y both ways, against the zero vector and against itself."""
+    engine = NormEngine(parse_space(space))
+    x, y = parse_vector(x), parse_vector(y)
+    for u, v in ((x, y), (y, x), (x, SparseVec(depth=3)), (x, x)):
+        got = engine._pair_norm(engine._split(u), engine._split(v))
+        want = engine.norm(u - v)
+        assert (got, type(got)) == (want, type(want)), (u, v)
 
 
 def _report_fields(report):
