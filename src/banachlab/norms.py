@@ -409,19 +409,21 @@ class NormEngine:
       apart;
     - the pair memo maps (k, id(part of f(a)), id(part of f(b))) to
       (k, code of the part norm) for a summand that is not a nested
-      `Sum`, at most P_k (P_k - 1) entries for P_k distinct parts in
-      summand k, and for a nested part that the other image lacks, at
-      most 2 P_k; a memo on the other nested pairs would grow with the
-      pair count;
-    - the pattern memo `_outers` maps the tuple of those (k, code) in
-      increasing k, a nested summand's code being its own engine's, to
-      the code of the outer norm.  A miss takes `_outer_norm` of the
-      same part values in the same k order.
-    The pattern memo stops at `_outer_bound`, the square of the parts
-    interned.  Past it a miss returns the value itself, neither stored
-    nor interned, and a parent that meets such a value in its pattern
-    takes its own outer norm directly and returns that value too.  The
-    summands of a `Repeat` share one engine.
+      `Sum`, and for a nested part that the other image lacks (at most
+      2 P_k entries for P_k distinct parts in summand k).  Where the
+      summand's engine memoizes, it holds at most P_k (P_k - 1)
+      entries, as that engine's own memo may; over an lp summand, whose
+      P_k can reach the number of images, it stops at `_memo_bound`.  A
+      memo on the other nested pairs would grow with the pair count;
+    - the pattern memo `_outers` maps the tuple of (k, code) over the
+      differing summands in increasing k, a nested summand's code being
+      its own engine's, to the code of the outer norm, and stops at
+      `_memo_bound`, the number of parts interned.  A miss takes
+      `_outer_norm` of the same part values in the same k order.
+    `_pair_code` returns (code, value), the code None past a bound: the
+    value is then neither stored nor interned, and a parent that meets
+    it takes its own outer norm directly and returns that uncoded too.
+    The summands of a `Repeat` share one engine.
 
     The outer norm of a `Sum` takes the part norms in increasing k, as
     they are through `lp_norm` for an lp outer, and through any other
@@ -447,7 +449,7 @@ class NormEngine:
         self._nested = isinstance(space, Sum) and isinstance(space.inner_at(1), Sum)
         # for `_split` and `_pair_code` over a `Sum`
         self._parts: dict[tuple, SparseVec | dict] = {}
-        self._pairs: dict[tuple, tuple[int, int]] = {}
+        self._pairs: dict[tuple, tuple] = {}
         self._outers: dict[tuple, int] = {}
         # the norms this engine has handed to a pair path, by code
         self._codes: dict[tuple, int] = {}
@@ -516,60 +518,69 @@ class NormEngine:
     def _pair_norm(self, a: dict, b: dict):
         """||x - y|| for the `_split`s a of x and b of y: the value
         `_sum_norm` gives, without building x - y."""
-        code = self._pair_code(a, b)
-        return self._values[code] if type(code) is int else code
+        return self._pair_code(a, b)[1]
 
-    def _pair_code(self, a: dict, b: dict):
-        """The code of ||x - y|| in this engine's `_values`, or the norm
-        itself where it is not stored."""
+    def _pair_code(self, a: dict, b: dict) -> tuple:
+        """(code, ||x - y||) for the `_split`s a of x and b of y, the code
+        that of the value in `_values`, or None where it is not stored."""
         pairs, inner = self._pairs, self._inner
         nested = self._nested
-        pattern = []
-        coded = True
+        pattern, loose = [], None
         for k in a.keys() if a.keys() == b.keys() else sorted(a.keys() | b.keys()):
             part_a = a.get(k)
             part_b = b.get(k)
             if part_a is part_b:
                 continue
             if nested and part_a is not None and part_b is not None:
-                entry = (k, inner[k]._pair_code(part_a, part_b))
+                code, value = inner[k]._pair_code(part_a, part_b)
+                entry = (k, code)
             else:
                 key = (k, id(part_a), id(part_b))
-                entry = pairs.get(key) or self._part_entry(key, inner[k], part_a, part_b)
-            if nested and type(entry[1]) is not int:
-                coded = False
+                entry = pairs.get(key)
+                if entry is None:
+                    entry, value = self._part_entry(key, inner[k], part_a, part_b)
+            if entry[1] is None:
+                if loose is None:
+                    loose = {}
+                loose[k] = value
             pattern.append(entry)
         pattern = tuple(pattern)
         outers = self._outers
-        code = outers.get(pattern) if coded else None
+        code = None if loose else outers.get(pattern)
         if code is None:
             value = self._outer_norm(
-                {k: inner[k]._values[c] if type(c) is int else c for k, c in pattern}
+                {k: loose[k] if c is None else inner[k]._values[c] for k, c in pattern}
             )
-            if not coded or len(outers) >= self._outer_bound():
-                return value
+            if loose or len(outers) >= self._memo_bound():
+                return None, value
             code = outers[pattern] = self._code(value)
-        return code
+        return code, self._values[code]
 
     def _part_entry(self, key: tuple, engine: "NormEngine", part_a, part_b) -> tuple:
-        """(k, code of summand k's part norm) for a pair missing from the
-        pair memo, stored there unless the code came back as a value.  A
-        nested summand comes here only for a part the other image lacks."""
+        """((k, code), value) of summand k's part norm for a pair missing
+        from the pair memo, the entry stored there.  A nested summand
+        comes here only for a part the other image lacks, at most 2 P_k
+        entries, always stored; a summand whose engine keeps no memo of
+        its own stores only below `_memo_bound`, and past it returns the
+        entry (k, None) without interning the value."""
         if isinstance(engine.space, Sum):
-            code = engine._pair_code(part_a or {}, part_b or {})
-        elif part_a is None or part_b is None:
-            code = engine._code(engine._norm(-part_b if part_a is None else part_a))
+            value = engine._pair_code(part_a or {}, part_b or {})[1]
         else:
-            code = engine._code(engine._norm(part_a - part_b))
-        entry = (key[0], code)
-        if type(code) is int:
-            self._pairs[key] = entry
-        return entry
+            if part_a is None or part_b is None:
+                value = engine._norm(-part_b if part_a is None else part_a)
+            else:
+                value = engine._norm(part_a - part_b)
+            if engine._memo is None and len(self._pairs) >= self._memo_bound():
+                return (key[0], None), value
+        entry = self._pairs[key] = (key[0], engine._code(value))
+        return entry, value
 
-    def _outer_bound(self) -> int:
-        """Most patterns `_outers` holds: the square of the parts `_split`
-        has interned, which also bounds the pair memo."""
-        return len(self._parts) ** 2
+    def _memo_bound(self) -> int:
+        """Most patterns `_outers` holds, and the pair memo size past which
+        a summand whose engine keeps no memo stores no more: the number of
+        parts `_split` has interned, so both grow with the images, not
+        with the pairs."""
+        return len(self._parts)
 
     def _code(self, value) -> int:
         """The code of a norm value in this engine's `_values`, keyed by

@@ -159,9 +159,10 @@ class TestDistortion:
 
     def test_xpq_memory_stays_below_a_memo_on_every_summand(self):
         # 3,486 pairs; the pair memo covers the summands that are not
-        # nested sums and nested parts that the other image lacks, and a
-        # memo on the nested sums of the tree would keep a part
-        # difference per pair (about 0.6 MiB at this n)
+        # nested sums (the lp ones up to one entry per part) and nested
+        # parts that the other image lacks, and a memo on the nested sums
+        # of the tree would keep a part difference per pair (about
+        # 0.6 MiB at this n)
         spec = XpqBranch(F(2), F(1), 3)
         tracemalloc.start()
         try:
@@ -236,6 +237,23 @@ def _distinct_array(n, seed=5):
     return ArrayEmbed(array, 2, parse_space("sum(l1,repeat(T))"))
 
 
+def _overlapping_array(n, seed=7):
+    """A 2-row array into sum(l1,repeat(l1)) whose rows both write seeded
+    rational entries into each summand, so that every image has its own
+    parts and nearly every pair its own part norms and outer pattern."""
+    space = parse_space("sum(l1,repeat(l1))")
+    engine = NormEngine(space)
+    rng = random.Random(seed)
+    array = {}
+    for m in range(1, n + 1):
+        for i in (1, 2):
+            vec = {(1, p): F(rng.randint(1, 9), rng.randint(1, 9)) for p in rng.sample(range(1, 12), 3)}
+            vec[(2, i)] = F(rng.randint(1, 9), rng.randint(1, 9))
+            vec = SparseVec(vec)
+            array[(i, 2 * m + i)] = (1 / engine.norm(vec)) * vec
+    return ArrayEmbed(array, 2, space)
+
+
 PAIR_CASES = {
     "prop73-p1": lambda: Prop73(F(1), 2),
     "prop73-p2": lambda: Prop73(F(2), 2),
@@ -251,6 +269,7 @@ PAIR_CASES = {
         parse_space("sum(T,repeat(T*))"),
     ),
     "array-nested-cancelling": _nested_array,
+    "array-overlapping-l1": lambda: _overlapping_array(6),
     # float l2 sums of T* parts at the inner level, under an l1 outer
     "array-nested-l2": lambda: ArrayEmbed(
         {(i, 2 * m + i): unit((1, m + i - 1, i)) for i in (1, 2) for m in range(1, 7)},
@@ -282,9 +301,11 @@ class TestPairNorms:
 
     # (space, x, y): parts that cancel at an inner level, an inner
     # summand that one image lacks, and a top summand that one image
-    # lacks, under lp, c0 and l1 outers
+    # lacks, under lp, c0 and l1 outers; in the second, that summand's
+    # code comes before a nested pattern that a bound of 0 leaves uncoded
     NESTED = [
         ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,1.2.3:1,2.1.1:1", "1.1.2:1,1.2.5:1/2,2.1.1:1"),
+        ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,2.1.1:1", "2.1.1:1,2.2.3:1"),
         ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,1.3.4:-2,2.2.2:1", "1.1.2:1,2.2.2:1"),
         ("sum(l1,repeat(sum(c0,repeat(T*))))", "1.1.2:1,1.3.4:1/3,2.1.1:1", "1.1.2:1,1.3.5:1/3"),
         ("sum(lpn(3/2,2),repeat(sum(l1,repeat(T))))", "1.1.2:1,1.2.3:1,2.1.5:2", "1.1.2:1,2.1.5:2,2.2.2:1"),
@@ -305,25 +326,49 @@ class TestPairNorms:
 
     def test_outer_patterns_stop_at_their_bound(self):
         # 990 pairs of 45 images with 18 distinct parts: the pattern memo
-        # fills at 18^2 = 324 entries, and each later miss is evaluated
-        # and returned without storing or interning its value
+        # fills at 18 entries, and each later miss is evaluated and
+        # returned without storing or interning its value
         spec = _distinct_array(10)
-        engine, check = NormEngine(spec.space), NormEngine(spec.space)
-        images = {m: embed(spec, m) for m in combinations(range(1, 11), 2)}
-        splits = {m: engine._split(x) for m, x in images.items()}
-        for a, b in combinations(images, 2):
-            got = engine._pair_norm(splits[a], splits[b])
-            want = check.norm(images[a] - images[b])
-            assert (got, type(got)) == (want, type(want)), (a, b)
-        bound = engine._outer_bound()
-        assert bound == 18**2 and len(engine._outers) == bound
+        engine = _scan_pairs(spec, 10)
+        bound = engine._memo_bound()
+        assert bound == 18 and len(engine._outers) == bound
         assert len(engine._values) <= bound
+
+    def test_lp_summands_stop_at_the_bound(self):
+        # both rows write into both summands, so each of the 66 images has
+        # its own l1 parts: 132 parts, 2,145 pairs, nearly all with their
+        # own part norms.  The lp pair entries fill at one per part, and
+        # the patterns, stored only where every part norm is coded, and
+        # the values they intern stay below that
+        engine = _scan_pairs(_overlapping_array(12), 12)
+        bound = engine._memo_bound()
+        assert bound == 132 and len(engine._pairs) == bound and len(engine._outers) <= bound
+        assert len(engine._values) <= bound and len(engine._inner[1]._values) <= bound
+
+    def test_overlapping_rows_keep_memory_linear_in_the_images(self):
+        # the scan above through `measure_distortion`: 0.14 MiB without a
+        # memo on lp summands or patterns, 2.3 MiB with one per pair
+        tracemalloc.start()
+        try:
+            report = measure_distortion(_overlapping_array(12), "hamming", 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20
+        assert report.to_dict() == {
+            "lower": "3891/9646",
+            "upper": "196/103",
+            "distortion": "1890616/400773",
+            "argmin": [[1, 11], [7, 12]],
+            "argmax": [[1, 3], [2, 3]],
+            "pairs": 2145,
+        }
 
     @pytest.mark.parametrize("case", sorted(PAIR_CASES))
     def test_uncoded_values_when_no_pattern_is_stored(self, case, monkeypatch):
-        # with the bound at 0 every outer norm comes back as a value, and a
-        # parent takes its own outer norm from every summand's value
-        monkeypatch.setattr(NormEngine, "_outer_bound", lambda self: 0)
+        # with the bound at 0 every outer norm and lp part norm comes back
+        # uncoded, and a parent takes its own outer norm from the values
+        monkeypatch.setattr(NormEngine, "_memo_bound", lambda self: 0)
         spec = PAIR_CASES[case]()
         engine = NormEngine(ambient_space(spec))
         for a, b, _, value in distortion_pairs(spec, "hamming", 6):
@@ -332,7 +377,7 @@ class TestPairNorms:
 
     @pytest.mark.parametrize("space, x, y", NESTED)
     def test_uncoded_nested_values_match_the_built_difference(self, space, x, y, monkeypatch):
-        monkeypatch.setattr(NormEngine, "_outer_bound", lambda self: 0)
+        monkeypatch.setattr(NormEngine, "_memo_bound", lambda self: 0)
         _check_nested_pairs(space, x, y)
 
     def test_a_fraction_and_an_equal_float_keep_their_types(self):
@@ -372,6 +417,19 @@ class TestPairNorms:
         spec = _gauge_array()
         values = [e.norm(unit(1) - unit(2)) for e in (NormEngine(spec.space.inner_at(k)) for k in (1, 2))]
         assert values[0] != values[1]
+
+
+def _scan_pairs(spec, n):
+    """Run one engine's pair path over every pair of [n]^2, checking each
+    value and type against the built difference, and return the engine."""
+    engine, check = NormEngine(spec.space), NormEngine(spec.space)
+    images = {m: embed(spec, m) for m in combinations(range(1, n + 1), 2)}
+    splits = {m: engine._split(x) for m, x in images.items()}
+    for a, b in combinations(images, 2):
+        got = engine._pair_norm(splits[a], splits[b])
+        want = check.norm(images[a] - images[b])
+        assert (got, type(got)) == (want, type(want)), (a, b)
+    return engine
 
 
 def _check_nested_pairs(space, x, y):
