@@ -24,6 +24,7 @@ from .embeddings import (
     XpqBranch,
     distortion_pairs,
     distortion_report,
+    measure_distortion,
 )
 from .errors import BanachLabError, CapExceeded, InputError
 from .hamming import HammingSpace, metric_distance, parse_ksubset
@@ -222,8 +223,8 @@ def cmd_distortion(args) -> int:
     spec = _parse_embedding(args.embedding)
     metric, _, generator = args.metric.partition(":")
     metric_space = parse_space(generator) if generator else None
-    pairs = distortion_pairs(spec, metric, args.n, get_caps(), metric_space=metric_space)
     if args.csv:
+        pairs = distortion_pairs(spec, metric, args.n, get_caps(), metric_space=metric_space)
         try:
             handle = open(args.csv, "w", encoding="utf-8")
         except OSError as exc:
@@ -231,7 +232,7 @@ def cmd_distortion(args) -> int:
         with handle:
             report = distortion_report(_write_rows(pairs, handle))
     else:
-        report = distortion_report(pairs)
+        report = measure_distortion(spec, metric, args.n, get_caps(), metric_space=metric_space)
     data = report.to_dict()
     data["embedding"] = args.embedding
     data["metric"] = args.metric

@@ -3,18 +3,22 @@
 Three constructions are provided: the coordinatewise map m -> sum_i
 e^(i)_{m_i} into the width-k lp-sum of dual-Tsirelson copies, the
 array-driven map m -> sum_i x^(i)_{k m_i + i}, and the branch vectors of
-the nested lq-of-lp tree spaces.  Distortion is measured exactly by
-enumerating all pairs of a restricted graph [n]^k.
+the nested lq-of-lp tree spaces.  Distortion on a restricted graph [n]^k
+is measured exactly: over one packed member per order type of the pairs
+for the coordinatewise and tree maps, whose pairs it determines
+(`classes.pair_classes`), and over all pairs for array maps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .caps import Caps, get_caps
+from .classes import packed_member, pair_classes
 from .errors import InputError
 from .hamming import KSubset, make_ksubset, metric_distance, point_pairs
 from .norms import NormEngine
@@ -105,12 +109,16 @@ class Prop73:
     p: PValue
     k: int
 
+    by_order_type = True  # a pair's d and norm depend only on its order type (`classes.pair_classes`)
+
 
 @dataclass(frozen=True)
 class ArrayEmbed:
     array: Mapping[tuple[int, int], SparseVec] = field(hash=False)
     k: int = 1
     space: SpaceExpr = None
+
+    by_order_type = False  # its entries are arbitrary vectors
 
     def __post_init__(self):
         if self.space is None:
@@ -126,6 +134,8 @@ class XpqBranch:
     p: PValue
     q: PValue
     k: int
+
+    by_order_type = True  # as for `Prop73`
 
 
 EmbeddingSpec = Union[Prop73, ArrayEmbed, XpqBranch]
@@ -185,29 +195,22 @@ def distortion_pairs(
 ) -> Iterator[tuple[KSubset, KSubset, Fraction, Fraction | float]]:
     """Yield (a, b, d(a, b), ||f(a) - f(b)||) for every pair a < b of
     [n]^k, in lexicographic order.  `metric` is hamming, johnson, or d_e
-    (with a generator)."""
-    caps = caps or get_caps()
-    k = spec.k
-    pairs = point_pairs(n, k)
-    dist = metric_distance(metric, k, metric_space, caps)
-    space = ambient_space(spec)
-    engine = NormEngine(space, caps)
-    images = {m: embed(spec, m) for m in combinations(range(1, n + 1), k)}
-    # each image is checked once here; a difference of two valid images
-    # is valid, so every pair goes through the unchecked engine, and an
-    # image of a `Sum` is split into its summand parts once
-    for image in images.values():
-        validate_vector(space, image)
-    if isinstance(space, Sum):
-        images = {m: engine._split(image) for m, image in images.items()}
-        norm = engine._pair_norm
-    else:
-        norm = lambda x, y: engine._norm(x - y)
+    (with a generator).  A spec `by_order_type` measures each order type
+    once, at its first pair, and looks every pair up by its packed
+    member."""
+    pairs = point_pairs(n, spec.k)
+    measure = _pair_measure(spec, metric, n, caps, metric_space)
+    if not spec.by_order_type:
+        for a, b in pairs:
+            yield a, b, *measure(a, b)
+        return
+    types = {}
     for a, b in pairs:
-        d = dist(a, b)
-        if not d:
-            raise InputError(f"metric vanishes on distinct points {a}, {b}")
-        yield a, b, d, norm(images[a], images[b])
+        key = packed_member(a, b)
+        found = types.get(key)
+        if found is None:
+            found = types[key] = measure(*key)
+        yield a, b, *found
 
 
 def measure_distortion(
@@ -218,8 +221,48 @@ def measure_distortion(
     metric_space: Optional[SpaceExpr] = None,
 ) -> DistortionReport:
     """Exact min and max of ||f(a) - f(b)|| / d(a, b) over the pairs
-    `distortion_pairs` yields."""
-    return distortion_report(distortion_pairs(spec, metric, n, caps, metric_space))
+    `distortion_pairs` yields.  A spec `by_order_type` reads only the
+    packed member of each order type, in lexicographic order, as the
+    first pair of its type (`classes.pair_classes`), after the pair
+    budget of the scan it stands for."""
+    if not spec.by_order_type:
+        return distortion_report(distortion_pairs(spec, metric, n, caps, metric_space))
+    k = spec.k
+    point_pairs(n, k)  # the scan's checks of k and of the pair budget
+    measure = _pair_measure(spec, metric, n, caps, metric_space)
+    report = distortion_report((a, b, *measure(a, b)) for a, b in pair_classes(k, n))
+    return replace(report, pairs=comb(comb(n, k), 2))
+
+
+def _pair_measure(spec: EmbeddingSpec, metric: str, n: int, caps, metric_space):
+    """The map (a, b) -> (d(a, b), ||f(a) - f(b)||) on the k-subsets of
+    [n], or of [min(n, 2k)] for a spec `by_order_type`, whose packed
+    members lie there.  Each image is checked once here; a difference of
+    two valid images is valid, so every pair goes through the unchecked
+    engine, and an image of a `Sum` is split into its summand parts
+    once."""
+    caps = caps or get_caps()
+    k = spec.k
+    dist = metric_distance(metric, k, metric_space, caps)
+    space = ambient_space(spec)
+    engine = NormEngine(space, caps)
+    top = min(n, 2 * k) if spec.by_order_type else n
+    images = {m: embed(spec, m) for m in combinations(range(1, top + 1), k)}
+    for image in images.values():
+        validate_vector(space, image)
+    if isinstance(space, Sum):
+        images = {m: engine._split(image) for m, image in images.items()}
+        norm = engine._pair_norm
+    else:
+        norm = lambda x, y: engine._norm(x - y)
+
+    def measure(a, b):
+        d = dist(a, b)
+        if not d:
+            raise InputError(f"metric vanishes on distinct points {a}, {b}")
+        return d, norm(images[a], images[b])
+
+    return measure
 
 
 def distortion_report(

@@ -397,33 +397,22 @@ class NormEngine:
     The T* LP is one program on each support of a class, and +-K_S is
     closed under sign flips, so the signs of x do not change its value.
 
-    A distortion scan takes ||f(a) - f(b)|| over every pair without
-    building f(a) - f(b).  `_split` cuts each image of a `Sum` into its
-    summand parts once, splits each part in a nested `Sum` in turn, and
-    interns the parts per summand (a split one by the identities of its
-    own parts), so equal parts are one object at every level, alive as
-    long as the engine.  A pair descends only into summands whose parts
-    differ, and costs a few dict lookups on small ints:
-    - each engine hands its norms to a pair path as codes, indices into
-      `_values`, interned by (value, type), so Fraction(2) and 2.0 stay
-      apart;
-    - the pair memo maps (k, id(part of f(a)), id(part of f(b))) to
-      (k, code of the part norm) for a summand that is not a nested
-      `Sum`, and for a nested part that the other image lacks (at most
-      2 P_k entries for P_k distinct parts in summand k).  Where the
-      summand's engine memoizes, it holds at most P_k (P_k - 1)
-      entries, as that engine's own memo may; over an lp summand, whose
-      P_k can reach the number of images, it stops at `_memo_bound`.  A
-      memo on the other nested pairs would grow with the pair count;
-    - the pattern memo `_outers` maps the tuple of (k, code) over the
-      differing summands in increasing k, a nested summand's code being
-      its own engine's, to the code of the outer norm, and stops at
-      `_memo_bound`, the number of parts interned.  A miss takes
-      `_outer_norm` of the same part values in the same k order.
-    `_pair_code` returns (code, value), the code None past a bound: the
-    value is then neither stored nor interned, and a parent that meets
-    it takes its own outer norm directly and returns that uncoded too.
-    The summands of a `Repeat` share one engine.
+    Distortion takes ||f(a) - f(b)|| without building f(a) - f(b), over
+    every pair of an `array:` scan and over one member per order type
+    (`classes.pair_classes`) for `prop73` and `xpq`.  `_split` cuts each
+    image of a `Sum` into its summand parts once, splits each part in a
+    nested `Sum` in turn, and interns the parts per summand (a split one
+    by the identities of its own parts), so equal parts are one object at
+    every level.  `_pair_norm` descends only into summands whose parts
+    differ.  It memoizes the part norm where the summand's engine
+    memoizes, at most P_k (P_k - 1) entries for P_k distinct parts in
+    summand k, and where a nested part meets a missing one, at most
+    2 P_k; a memo on the other pairs would grow with the pair count.  The
+    memo key is (id(part of f(a)), id(part of f(b))).  The interned parts
+    stay alive in `_parts` as long as the engine, so no id is reused, and
+    `_split` interns per summand, so a part's id fixes its summand k (one
+    side may be missing, never both).  The summands of a `Repeat` share
+    one engine.
 
     The outer norm of a `Sum` takes the part norms in increasing k, as
     they are through `lp_norm` for an lp outer, and through any other
@@ -446,14 +435,9 @@ class NormEngine:
         self._by_class = isinstance(space, (Tsirelson, TsirelsonDual))
         self._outer = NormEngine(space.outer, self.caps) if isinstance(space, Sum) else None
         self._inner: dict[int, NormEngine] = {}
-        self._nested = isinstance(space, Sum) and isinstance(space.inner_at(1), Sum)
-        # for `_split` and `_pair_code` over a `Sum`
+        # for `_split` and `_pair_norm` over a `Sum`
         self._parts: dict[tuple, SparseVec | dict] = {}
-        self._pairs: dict[tuple, tuple] = {}
-        self._outers: dict[tuple, int] = {}
-        # the norms this engine has handed to a pair path, by code
-        self._codes: dict[tuple, int] = {}
-        self._values: list[Fraction | float] = []
+        self._pairs: dict[tuple, Fraction | float] = {}
 
     def norm(self, x: SparseVec) -> Fraction | float:
         validate_vector(self.space, x)
@@ -501,7 +485,7 @@ class NormEngine:
 
     def _split(self, x: SparseVec) -> dict:
         """The parts of a valid vector of this `Sum` by summand, in
-        increasing k, each interned per summand for `_pair_code`.  A part
+        increasing k, each interned per summand for `_pair_norm`.  A part
         in a nested `Sum` is split in turn and interned as its split,
         under its summand indices and the identities of its own parts."""
         seen, split = self._parts, {}
@@ -518,79 +502,28 @@ class NormEngine:
     def _pair_norm(self, a: dict, b: dict):
         """||x - y|| for the `_split`s a of x and b of y: the value
         `_sum_norm` gives, without building x - y."""
-        return self._pair_code(a, b)[1]
-
-    def _pair_code(self, a: dict, b: dict) -> tuple:
-        """(code, ||x - y||) for the `_split`s a of x and b of y, the code
-        that of the value in `_values`, or None where it is not stored."""
-        pairs, inner = self._pairs, self._inner
-        nested = self._nested
-        pattern, loose = [], None
+        memo, inner = self._pairs, self._inner
+        part_norms = {}
         for k in a.keys() if a.keys() == b.keys() else sorted(a.keys() | b.keys()):
             part_a = a.get(k)
             part_b = b.get(k)
             if part_a is part_b:
                 continue
-            if nested and part_a is not None and part_b is not None:
-                code, value = inner[k]._pair_code(part_a, part_b)
-                entry = (k, code)
-            else:
-                key = (k, id(part_a), id(part_b))
-                entry = pairs.get(key)
-                if entry is None:
-                    entry, value = self._part_entry(key, inner[k], part_a, part_b)
-            if entry[1] is None:
-                if loose is None:
-                    loose = {}
-                loose[k] = value
-            pattern.append(entry)
-        pattern = tuple(pattern)
-        outers = self._outers
-        code = None if loose else outers.get(pattern)
-        if code is None:
-            value = self._outer_norm(
-                {k: loose[k] if c is None else inner[k]._values[c] for k, c in pattern}
-            )
-            if loose or len(outers) >= self._memo_bound():
-                return None, value
-            code = outers[pattern] = self._code(value)
-        return code, self._values[code]
-
-    def _part_entry(self, key: tuple, engine: "NormEngine", part_a, part_b) -> tuple:
-        """((k, code), value) of summand k's part norm for a pair missing
-        from the pair memo, the entry stored there.  A nested summand
-        comes here only for a part the other image lacks, at most 2 P_k
-        entries, always stored; a summand whose engine keeps no memo of
-        its own stores only below `_memo_bound`, and past it returns the
-        entry (k, None) without interning the value."""
-        if isinstance(engine.space, Sum):
-            value = engine._pair_code(part_a or {}, part_b or {})[1]
-        else:
-            if part_a is None or part_b is None:
-                value = engine._norm(-part_b if part_a is None else part_a)
-            else:
-                value = engine._norm(part_a - part_b)
-            if engine._memo is None and len(self._pairs) >= self._memo_bound():
-                return (key[0], None), value
-        entry = self._pairs[key] = (key[0], engine._code(value))
-        return entry, value
-
-    def _memo_bound(self) -> int:
-        """Most patterns `_outers` holds, and the pair memo size past which
-        a summand whose engine keeps no memo stores no more: the number of
-        parts `_split` has interned, so both grow with the images, not
-        with the pairs."""
-        return len(self._parts)
-
-    def _code(self, value) -> int:
-        """The code of a norm value in this engine's `_values`, keyed by
-        its type too, so that Fraction(2) and 2.0 stay apart."""
-        key = (value, type(value))
-        code = self._codes.get(key)
-        if code is None:
-            code = self._codes[key] = len(self._values)
-            self._values.append(value)
-        return code
+            engine = inner[k]
+            nested = isinstance(engine.space, Sum)
+            key = (id(part_a), id(part_b))
+            value = memo.get(key)
+            if value is None:
+                if nested:
+                    value = engine._pair_norm(part_a or {}, part_b or {})
+                elif part_a is None or part_b is None:
+                    value = engine._norm(-part_b if part_a is None else part_a)
+                else:
+                    value = engine._norm(part_a - part_b)
+                if engine._memo is not None or nested and (part_a is None or part_b is None):
+                    memo[key] = value
+            part_norms[k] = value
+        return self._outer_norm(part_norms)
 
     def _outer_norm(self, part_norms: dict[int, Fraction | float]):
         """The outer norm of the inner norms by summand, given in

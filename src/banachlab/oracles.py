@@ -7,27 +7,31 @@ each fast path against them.  The set-family recursion
 LP over the whole norming set (`dual_norm_reference`) and the rational
 re-derivation of an LP basis (`decomposition_weight`) check the
 column-generation LP of `dual`; the per-pair `Fraction` reduction
-(`distortion_report_reference`) and the sign-pattern scan
-(`max_sign_sum_reference`) check `embeddings.distortion_report` and
-`embeddings.max_sign_sum`.  The enumerations are exponential in the
-support size, hence the `tsirelson` cap, and memoize per exact support
-in two module-level caches that grow with every support seen.
+(`distortion_report_reference`), the scan of every built difference
+(`distortion_reference`) and the sign-pattern scan
+(`max_sign_sum_reference`) check `embeddings.distortion_report`,
+`embeddings.measure_distortion` and `embeddings.max_sign_sum`.  The
+enumerations are exponential in the support size, hence the
+`tsirelson` cap, and memoize per exact support in two module-level
+caches that grow with every support seen.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .caps import Caps, get_caps
 from .dual import LPResult
-from .embeddings import DistortionReport
+from .embeddings import DistortionReport, EmbeddingSpec, ambient_space, embed
 from .errors import InputError
+from .hamming import metric_distance
 from .norms import Functional, NormEngine, chunkings, nonempty_subsets
 from .simplex import SimplexError, StandardFormSimplex
+from .spaces import SpaceExpr
 from .vectors import SparseVec
 
 HALF = Fraction(1, 2)
@@ -261,6 +265,21 @@ def distortion_report_reference(pairs) -> DistortionReport:
     if lower == 0:
         raise InputError(f"embedding collapses the pair {argmin}")
     return DistortionReport(lower, upper, upper / lower, argmin, argmax, count)
+
+
+def distortion_reference(
+    spec: EmbeddingSpec, metric: str, n: int, caps: Optional[Caps] = None, metric_space: Optional[SpaceExpr] = None
+) -> DistortionReport:
+    """Test oracle: the report over every pair a < b of [n]^k, each
+    f(a) - f(b) built and measured by `NormEngine.norm`, with no split
+    images and no order-type classes."""
+    caps = caps or get_caps()
+    dist = metric_distance(metric, spec.k, metric_space, caps)
+    engine = NormEngine(ambient_space(spec), caps)
+    images = {m: embed(spec, m) for m in combinations(range(1, n + 1), spec.k)}
+    return distortion_report_reference(
+        (a, b, dist(a, b), engine.norm(images[a] - images[b])) for a, b in combinations(images, 2)
+    )
 
 
 def max_sign_sum_reference(engine: NormEngine, vectors: Sequence[SparseVec]):

@@ -28,8 +28,8 @@ from banachlab.embeddings import (
 )
 from banachlab.errors import CapExceeded, InputError
 from banachlab.hamming import hamming_distance
-from banachlab.norms import NormEngine, lp_norm, tsirelson_norm
-from banachlab.oracles import brute_force_tsirelson, distortion_report_reference
+from banachlab.norms import NormEngine, lp_norm
+from banachlab.oracles import brute_force_tsirelson, distortion_reference, distortion_report_reference
 from banachlab.spaces import parse_space, register_gauge
 from banachlab.vectors import SparseVec, parse_vector, unit
 
@@ -173,6 +173,19 @@ class TestDistortion:
         assert peak < 0.4 * 2**20
         assert report.pairs == 3486 and report.distortion == 3
 
+    def test_csv_stream_memory_grows_with_the_types(self):
+        # the stream `--csv` writes, every one of the 3,486 pairs, keeps
+        # one (d, value) per order type (31 here), not one per pair
+        spec = XpqBranch(F(2), F(1), 3)
+        tracemalloc.start()
+        try:
+            report = distortion_report(distortion_pairs(spec, "hamming", 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * 2**20
+        assert report.to_dict() == measure_distortion(spec, "hamming", 9).to_dict()
+
     def test_report_shape(self):
         report = measure_distortion(Prop73(F(1), 1), "johnson", 4)
         data = report.to_dict()
@@ -220,21 +233,6 @@ def _nested_array():
         cancel = half * unit((2, 1, m)) - half * unit((1, 2, 1))
         array[(2, 2 * m + 2)] = cancel if m % 2 == 0 else unit((2, 1, m))
     return ArrayEmbed(array, 2, space)
-
-
-def _distinct_array(n, seed=5):
-    """A 2-row array into sum(l1,repeat(T)) of seeded 4-point rational
-    vectors on 1..11, each normalised in T, so that nearly every pair of
-    images has its own part norms and outer pattern."""
-    rng = random.Random(seed)
-    array = {}
-    for m in range(1, n + 1):
-        for i in (1, 2):
-            positions = sorted(rng.sample(range(1, 12), 4))
-            vec = SparseVec({(p,): F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for p in positions})
-            vec = (1 / tsirelson_norm(vec)) * vec
-            array[(i, 2 * m + i)] = SparseVec({(i,) + p: c for p, c in vec.items()})
-    return ArrayEmbed(array, 2, parse_space("sum(l1,repeat(T))"))
 
 
 def _overlapping_array(n, seed=7):
@@ -301,8 +299,7 @@ class TestPairNorms:
 
     # (space, x, y): parts that cancel at an inner level, an inner
     # summand that one image lacks, and a top summand that one image
-    # lacks, under lp, c0 and l1 outers; in the second, that summand's
-    # code comes before a nested pattern that a bound of 0 leaves uncoded
+    # lacks, under lp, c0 and l1 outers
     NESTED = [
         ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,1.2.3:1,2.1.1:1", "1.1.2:1,1.2.5:1/2,2.1.1:1"),
         ("sum(l1,repeat(sum(lp(2),repeat(T*))))", "1.1.2:1,2.1.1:1", "2.1.1:1,2.2.3:1"),
@@ -324,30 +321,11 @@ class TestPairNorms:
         want = engine.norm(x - y)
         assert (got, type(got)) == (want, type(want))
 
-    def test_outer_patterns_stop_at_their_bound(self):
-        # 990 pairs of 45 images with 18 distinct parts: the pattern memo
-        # fills at 18 entries, and each later miss is evaluated and
-        # returned without storing or interning its value
-        spec = _distinct_array(10)
-        engine = _scan_pairs(spec, 10)
-        bound = engine._memo_bound()
-        assert bound == 18 and len(engine._outers) == bound
-        assert len(engine._values) <= bound
-
-    def test_lp_summands_stop_at_the_bound(self):
-        # both rows write into both summands, so each of the 66 images has
-        # its own l1 parts: 132 parts, 2,145 pairs, nearly all with their
-        # own part norms.  The lp pair entries fill at one per part, and
-        # the patterns, stored only where every part norm is coded, and
-        # the values they intern stay below that
-        engine = _scan_pairs(_overlapping_array(12), 12)
-        bound = engine._memo_bound()
-        assert bound == 132 and len(engine._pairs) == bound and len(engine._outers) <= bound
-        assert len(engine._values) <= bound and len(engine._inner[1]._values) <= bound
-
     def test_overlapping_rows_keep_memory_linear_in_the_images(self):
-        # the scan above through `measure_distortion`: 0.14 MiB without a
-        # memo on lp summands or patterns, 2.3 MiB with one per pair
+        # both rows write into both summands, so each of the 66 images has
+        # its own l1 parts and nearly every one of the 2,145 pairs its own
+        # part norms: 0.14 MiB without a memo on lp summands, 2.3 MiB
+        # with one per pair
         tracemalloc.start()
         try:
             report = measure_distortion(_overlapping_array(12), "hamming", 12)
@@ -364,22 +342,6 @@ class TestPairNorms:
             "pairs": 2145,
         }
 
-    @pytest.mark.parametrize("case", sorted(PAIR_CASES))
-    def test_uncoded_values_when_no_pattern_is_stored(self, case, monkeypatch):
-        # with the bound at 0 every outer norm and lp part norm comes back
-        # uncoded, and a parent takes its own outer norm from the values
-        monkeypatch.setattr(NormEngine, "_memo_bound", lambda self: 0)
-        spec = PAIR_CASES[case]()
-        engine = NormEngine(ambient_space(spec))
-        for a, b, _, value in distortion_pairs(spec, "hamming", 6):
-            want = engine.norm(embed(spec, a) - embed(spec, b))
-            assert (value, type(value)) == (want, type(want)), (a, b)
-
-    @pytest.mark.parametrize("space, x, y", NESTED)
-    def test_uncoded_nested_values_match_the_built_difference(self, space, x, y, monkeypatch):
-        monkeypatch.setattr(NormEngine, "_memo_bound", lambda self: 0)
-        _check_nested_pairs(space, x, y)
-
     def test_a_fraction_and_an_equal_float_keep_their_types(self):
         # the l2 outer returns a lone part norm 5 as it is, and 3, 4 as the
         # float 5.0: one engine meets both, in either order
@@ -390,10 +352,9 @@ class TestPairNorms:
                 got = engine._pair_norm(engine._split(x), engine._split(zero))
                 want = engine.norm(x)
                 assert (got, type(got)) == (want, type(want))
-            assert engine._values[0] == engine._values[1] and set(map(type, engine._values)) == {F, float}
 
     def test_outer_patterns_keep_their_summands(self):
-        # every part norm is 1, one code; the outer T reads where they sit:
+        # every part norm is 1; the outer T reads where they sit:
         # T(1, 1, 1) is 3/2 at positions 3, 4, 5 and 1 at 1, 4, 5
         engine = NormEngine(parse_space("sum(T,repeat(l1))"))
         zero = engine._split(SparseVec(depth=2))
@@ -417,19 +378,6 @@ class TestPairNorms:
         spec = _gauge_array()
         values = [e.norm(unit(1) - unit(2)) for e in (NormEngine(spec.space.inner_at(k)) for k in (1, 2))]
         assert values[0] != values[1]
-
-
-def _scan_pairs(spec, n):
-    """Run one engine's pair path over every pair of [n]^2, checking each
-    value and type against the built difference, and return the engine."""
-    engine, check = NormEngine(spec.space), NormEngine(spec.space)
-    images = {m: embed(spec, m) for m in combinations(range(1, n + 1), 2)}
-    splits = {m: engine._split(x) for m, x in images.items()}
-    for a, b in combinations(images, 2):
-        got = engine._pair_norm(splits[a], splits[b])
-        want = check.norm(images[a] - images[b])
-        assert (got, type(got)) == (want, type(want)), (a, b)
-    return engine
 
 
 def _check_nested_pairs(space, x, y):
@@ -519,6 +467,50 @@ class TestRatioReduction:
             with pytest.raises(InputError) as got:
                 distortion_report(stream)
             assert str(got.value) == str(want.value)
+
+
+ORDER_TYPE_SPECS = {
+    "prop73-p1": lambda k: Prop73(F(1), k),
+    "prop73-p3/2": lambda k: Prop73(F(3, 2), k),
+    "prop73-p2": lambda k: Prop73(F(2), k),
+    "xpq-p2-q1": lambda k: XpqBranch(F(2), F(1), k),
+    "xpq-p3-qinf": lambda k: XpqBranch(F(3), None, k),
+    "xpq-p3/2-q4": lambda k: XpqBranch(F(3, 2), F(4), k),
+}
+
+
+class TestOrderTypes:
+    """`measure_distortion` reads `prop73` and `xpq` at one packed member
+    per order type; its report must be the one over every built
+    difference, value types included."""
+
+    @pytest.mark.parametrize("metric", ["hamming", "johnson", "d_e:T", "d_e:T*", "d_e:S(log2)", "d_e:l1"])
+    @pytest.mark.parametrize("case", sorted(ORDER_TYPE_SPECS))
+    def test_class_report_matches_the_reference(self, case, metric):
+        metric, _, generator = metric.partition(":")
+        space = parse_space(generator) if generator else None
+        for k, top in ((2, 8), (3, 7)):  # every type is present from n = 2k
+            spec = ORDER_TYPE_SPECS[case](k)
+            for n in range(k + 1, top + 1):
+                got = measure_distortion(spec, metric, n, metric_space=space)
+                want = distortion_reference(spec, metric, n, metric_space=space)
+                assert got.to_dict() == want.to_dict(), (k, n)
+                assert _report_fields(got) == _report_fields(want), (k, n)
+
+    def test_class_report_keeps_the_rounded_argmin(self):
+        # the ratio sqrt(2) at ((1,2,3),(1,2,4)) and the float quotient
+        # sqrt(18)/3 at ((1,2,3),(2,3,4)), one ulp lower: the scan meets
+        # the second later and keeps it, and so must the classes
+        spec = XpqBranch(F(2), F(1), 3)
+        got = measure_distortion(spec, "hamming", 12)
+        assert got.to_dict() == distortion_reference(spec, "hamming", 12).to_dict() == {
+            "lower": 1.414213562373095,
+            "upper": 4.242640687119285,
+            "distortion": 3.0,
+            "argmin": [[1, 2, 3], [2, 3, 4]],
+            "argmax": [[1, 3, 4], [2, 3, 4]],
+            "pairs": 24090,
+        }
 
 
 class TestXpqBranches:

@@ -1,20 +1,22 @@
 """The shared scans of the verifiers and embeddings: pinned reports,
 the pruned walk over disjoint families and its count, the sign-sum
-maximum, the union classes of the block scan and the class-pooled 0/1
-dual LPs, each against the straightforward route it replaced."""
+maximum, the union classes of the block scan, the class-pooled 0/1
+dual LPs and the order-type classes of pairs, each against the
+straightforward route it replaced."""
 
 import gc
 import random
 import weakref
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from banachlab import dual, verifiers
 from banachlab.caps import Caps
-from banachlab.classes import canonical_positions, clipped_class, subset_classes
+from banachlab.classes import canonical_positions, clipped_class, packed_member, pair_classes, subset_classes
 from banachlab.dual import dual01_pool, dual_norm
 from banachlab.embeddings import max_sign_sum
 from banachlab.errors import CapExceeded, InputError
@@ -490,3 +492,38 @@ def test_max_sign_sum_of_disjoint_blocks_matches_every_pattern(space):
 def test_max_sign_sum_all_zero_has_no_signs():
     engine = NormEngine(tt_space())
     assert max_sign_sum(engine, [SparseVec(depth=2)] * 3) == (0, None)
+
+
+# -- order-type classes of pairs ------------------------------------------
+
+
+DELANNOY = {1: 3, 2: 13, 3: 63, 4: 321, 5: 1683}  # OEIS A001850
+
+
+def _packed_by_index(a, b):
+    values = sorted(set(a) | set(b))
+    return tuple(values.index(v) + 1 for v in a), tuple(values.index(v) + 1 for v in b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_pair_classes_match_grouping_every_pair(k):
+    for n in range(k, 2 * k + 2):
+        first = {}  # the first pair of each packed order type, in scan order
+        for a, b in combinations(combinations(range(1, n + 1), k), 2):
+            key = _packed_by_index(a, b)
+            assert packed_member(a, b) == key
+            first.setdefault(key, (a, b))
+        got = list(pair_classes(k, n))
+        assert got == list(first.values()) == list(first), n
+        assert len(got) <= comb(comb(n, k), 2)
+        if n >= 2 * k:
+            assert len(got) == (DELANNOY[k] - 1) // 2
+
+
+def test_pair_class_counts():
+    # below n = 2k only the types of a and b disjoint (u = 2k) are
+    # missing: half of the C(2k, k) ways to split [2k]
+    counts = [sum(1 for _ in pair_classes(k, n)) for k, n in ((5, 10), (5, 9), (4, 4), (1, 1), (0, 4))]
+    assert counts == [(DELANNOY[5] - 1) // 2, (DELANNOY[5] - 1) // 2 - comb(10, 5) // 2, 0, 0, 0]
+    # the most the pair budget admits is 280,636 at (16, 19)
+    assert sum(1 for _ in pair_classes(12, 15)) == 53131
