@@ -121,7 +121,8 @@ def pair_classes(k: int, n: int) -> Iterator[tuple[tuple, tuple]]:
                 walk.append((a + (v + 1,), v + 1))
             continue
         top = a[-1]
-        ties = (k - (top - k) - (n - top), k - (top - k))  # least and most
+        most = k - (top - k)  # ties: b holds the top - k b-steps below top
+        fewest = most - (n - top)  # and at most n - top past it
         prefix = next((j for j in range(k) if a[j] != j + 1), k)  # a below the first b-step
         steps = [((), 0, 0, False)]  # (b so far, index into a, ties, an a-step taken)
         while steps:
@@ -130,7 +131,7 @@ def pair_classes(k: int, n: int) -> Iterator[tuple[tuple, tuple]]:
                 yield a, b + tuple(range(top + 1, top + 1 + k - len(b)))
                 continue
             b += tuple(range(a[j - 1] + 1 if j else 1, a[j]))  # the b-steps before a_j
-            if t + k - j - 1 >= ties[0]:
+            if t + k - j - 1 >= fewest:
                 steps.append((b, j + 1, t, True))
-            if t < ties[1] and (split or j < prefix - 1):
+            if t < most and (split or j < prefix - 1):
                 steps.append((b + (a[j],), j + 1, t + 1, split))
