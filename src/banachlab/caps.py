@@ -16,16 +16,19 @@ the environment variable BANACHLAB_CAPS, e.g.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+
+from .records import Frozen
 
 ENV_VAR = "BANACHLAB_CAPS"
 
 
-@dataclass(frozen=True)
-class Caps:
-    tsirelson: int = 10
-    modified: int = 12
-    dual: int = 10
+class Caps(Frozen):
+    _fields = ("tsirelson", "modified", "dual")
+
+    def __init__(self, tsirelson: int = 10, modified: int = 12, dual: int = 10):
+        object.__setattr__(self, "tsirelson", tsirelson)
+        object.__setattr__(self, "modified", modified)
+        object.__setattr__(self, "dual", dual)
 
     def check(self, name: str, size: int) -> None:
         limit = getattr(self, name)

@@ -37,7 +37,6 @@ certifies the dual vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -45,6 +44,7 @@ from .caps import Caps, get_caps
 from .classes import canonical_positions
 from .errors import InputError
 from .norms import Functional, tsirelson_norm_witness
+from .records import Frozen
 from .simplex import SimplexError, StandardFormSimplex
 from .vectors import SparseVec, inner_product, unit
 
@@ -52,11 +52,16 @@ ONE = Fraction(1)
 MAX_ROUNDS = 100000  # column-generation rounds of one LP
 
 
-@dataclass(frozen=True)
-class LPResult:
-    value: Fraction
-    witness: SparseVec  # optimal y with ||y||_T <= 1 and <x, y> = value
-    certificate: tuple[Functional, ...]  # active constraints (LP basis)
+class LPResult(Frozen):
+    """`witness` is an optimal y with ||y||_T <= 1 and <x, y> = `value`;
+    `certificate` holds the active constraints (the LP basis)."""
+
+    _fields = ("value", "witness", "certificate")
+
+    def __init__(self, value: Fraction, witness: SparseVec, certificate: tuple[Functional, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def dual_norm(

@@ -11,7 +11,6 @@ for the coordinatewise and tree maps, whose pairs it determines
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,6 +21,7 @@ from .classes import packed_member, pair_classes
 from .errors import InputError
 from .hamming import KSubset, make_ksubset, metric_distance, point_pairs
 from .norms import NormEngine
+from .records import Frozen
 from .spaces import Lp, LpN, PValue, Repeat, SpaceExpr, Sum, TsirelsonDual, validate_vector
 from .vectors import SparseVec
 
@@ -104,38 +104,42 @@ def xpq_branch_vectors(p: PValue, q: PValue, k: int, m: KSubset) -> list[SparseV
 # -- embedding specifications ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prop73:
-    p: PValue
-    k: int
-
+class Prop73(Frozen):
+    _fields = ("p", "k")
     by_order_type = True  # a pair's d and norm depend only on its order type (`classes.pair_classes`)
 
+    def __init__(self, p: PValue, k: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k", k)
 
-@dataclass(frozen=True)
-class ArrayEmbed:
-    array: Mapping[tuple[int, int], SparseVec] = field(hash=False)
-    k: int = 1
-    space: SpaceExpr = None
 
+class ArrayEmbed(Frozen):
+    """Equal embeddings have equal arrays; the hash leaves the array out."""
+
+    _fields = ("array", "k", "space")
+    _hashed = ("k", "space")
     by_order_type = False  # its entries are arbitrary vectors
 
-    def __post_init__(self):
-        if self.space is None:
+    def __init__(self, array: Mapping[tuple[int, int], SparseVec], k: int = 1, space: SpaceExpr = None):
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "space", space)
+        if space is None:
             raise InputError("an array embedding needs its ambient space")
-        engine = NormEngine(self.space)
-        for key, vec in self.array.items():
+        engine = NormEngine(space)
+        for key, vec in array.items():
             if engine.norm(vec) != 1:
                 raise InputError(f"array entry {key} is not normalized")
 
 
-@dataclass(frozen=True)
-class XpqBranch:
-    p: PValue
-    q: PValue
-    k: int
-
+class XpqBranch(Frozen):
+    _fields = ("p", "q", "k")
     by_order_type = True  # as for `Prop73`
+
+    def __init__(self, p: PValue, q: PValue, k: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
 
 
 EmbeddingSpec = Union[Prop73, ArrayEmbed, XpqBranch]
@@ -164,14 +168,28 @@ def embed(spec: EmbeddingSpec, m: KSubset) -> SparseVec:
 # -- distortion measurement ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistortionReport:
-    lower: Fraction | float  # min ||f(a) - f(b)|| / d(a, b)
-    upper: Fraction | float  # max ratio
-    distortion: Fraction | float  # upper / lower
-    argmin: tuple[KSubset, KSubset]
-    argmax: tuple[KSubset, KSubset]
-    pairs: int
+class DistortionReport(Frozen):
+    """`lower` and `upper` are the min and max of ||f(a) - f(b)|| / d(a, b),
+    first attained at the pairs `argmin` and `argmax`, and `distortion`
+    is upper / lower."""
+
+    _fields = ("lower", "upper", "distortion", "argmin", "argmax", "pairs")
+
+    def __init__(
+        self,
+        lower: Fraction | float,
+        upper: Fraction | float,
+        distortion: Fraction | float,
+        argmin: tuple[KSubset, KSubset],
+        argmax: tuple[KSubset, KSubset],
+        pairs: int,
+    ):
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "distortion", distortion)
+        object.__setattr__(self, "argmin", argmin)
+        object.__setattr__(self, "argmax", argmax)
+        object.__setattr__(self, "pairs", pairs)
 
     def to_dict(self) -> dict:
         from .report import encode_value
@@ -231,7 +249,9 @@ def measure_distortion(
     point_pairs(n, k)  # the scan's checks of k and of the pair budget
     measure = _pair_measure(spec, metric, n, caps, metric_space)
     report = distortion_report((a, b, *measure(a, b)) for a, b in pair_classes(k, n))
-    return replace(report, pairs=comb(comb(n, k), 2))
+    return DistortionReport(
+        report.lower, report.upper, report.distortion, report.argmin, report.argmax, comb(comb(n, k), 2)
+    )
 
 
 def _pair_measure(spec: EmbeddingSpec, metric: str, n: int, caps, metric_space):

@@ -46,7 +46,6 @@ bottoms out in coordinate absolute values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -57,6 +56,7 @@ from typing import Optional
 from .caps import Caps, get_caps
 from .classes import clipped_class
 from .errors import InputError
+from .records import Frozen
 from .spaces import (
     Lp,
     LpN,
@@ -101,13 +101,19 @@ class _TsirelsonDP:
 
     `table[i][j]` is the norm of x restricted to support points i..j,
     times `scale`.  A family candidate for [i..j] starts at some s >= i
-    and takes n = min(pos[s], j-s+1) chunks of [s..j].  For a fixed
-    right end j, `sums[k][a]` is the best sum of part norms over splits
-    of [a..j] into k chunks (`sums[1]` is column j of the table).  It is
+    and takes n = min(pos[s], j-s+1) chunks of [s..j].  For a right end
+    j, `sums[j][k][a]` is the best sum of part norms over splits of
+    [a..j] into k chunks (`sums[j][1]` is column j of the table).  It is
     filled only for the k a family can have left at a: at most
     min(pos[a], j-a+1), and at least min(pos[0]-a, j-a+1), since a family
-    starting at s <= a has used at most a-s chunks before a.
+    starting at s <= a has used at most a-s chunks before a.  Every
+    entry in that window is exact, by induction on j-a: after a first
+    chunk [a..t], it reads `sums[j][k-1][t+1]`, which lies in the window
+    of t+1.  Only `_TsirelsonWitness` keeps `sums[j]` past right end j:
+    all of them take O(m^3) memory, where the table takes O(m^2).
     """
+
+    keeps_sums = False
 
     def __init__(self, x: SparseVec):
         pos = self.pos = [p[0] for p in x.support()]
@@ -118,9 +124,12 @@ class _TsirelsonDP:
         self.scale = lcm(*(c.denominator for c in coef)) << max(m - 1, 0)
         mag = self.mag = [abs(c.numerator) * (self.scale // c.denominator) for c in coef]
         table = self.table = [[0] * m for _ in range(m)]
-        self.sum_memo: dict = {}
+        self.sums = []
         for j in range(m):
-            sums = [[0] * (j + 2) for _ in range(min(pos[j], j + 1) + 1)]
+            # row k holds the starts a <= j-k+1 that leave room for k chunks
+            sums = [[0] * (j - k + 2) for k in range(min(pos[j], j + 1) + 1)]
+            if self.keeps_sums:
+                self.sums.append(sums)
             coord = family = 0
             for i in range(j, -1, -1):
                 row = table[i]
@@ -140,18 +149,36 @@ class _TsirelsonDP:
             return Fraction(0)
         return Fraction(self.table[0][-1], self.scale)
 
+
+class _TsirelsonWitness(_TsirelsonDP):
+    """The DP with the functional attaining the norm, from the DP's own
+    `sums` and, outside their fill window, a memoized recursion."""
+
+    keeps_sums = True
+
+    def __init__(self, x: SparseVec):
+        super().__init__(x)
+        self.sum_memo: dict = {}
+
     def best_sum(self, s: int, j: int, n: int) -> int:
-        """Max of sum of part norms over splits of [s..j] into n chunks;
-        computed on demand for the witness path only."""
+        """Max of sum of part norms over splits of [s..j] into n chunks,
+        for the witness path: read from `sums` inside its fill window,
+        else computed on demand and memoized.  The memo is read first:
+        where pos[0] is past the support, the window holds one count per
+        interval, and most reads are memo hits."""
         if n == 1:
             return self.table[s][j]
         key = (s, j, n)
-        if key not in self.sum_memo:
+        value = self.sum_memo.get(key)
+        if value is None:
+            length = j - s + 1
+            if min(self.pos[0] - s, length) <= n <= min(self.pos[s], length):
+                return self.sums[j][n][s]
             row = self.table[s]
-            self.sum_memo[key] = max(
+            value = self.sum_memo[key] = max(
                 row[t] + self.best_sum(t + 1, j, n - 1) for t in range(s, j - n + 2)
             )
-        return self.sum_memo[key]
+        return value
 
     def witness(self, i: int, j: int, level: int, coeffs: dict) -> int:
         """Write the functional attaining norm(i, j), scaled by 2^-level,
@@ -193,7 +220,7 @@ def tsirelson_norm(x: SparseVec) -> Fraction:
 
 def tsirelson_norm_witness(x: SparseVec) -> tuple[Fraction, dict, int]:
     """Norm together with coefficients and depth of an attaining functional."""
-    dp = _TsirelsonDP(x)
+    dp = _TsirelsonWitness(x)
     value = dp.value()
     if not x:
         return value, {}, 0
@@ -510,7 +537,7 @@ class NormEngine:
             if part_a is part_b:
                 continue
             engine = inner[k]
-            nested = isinstance(engine.space, Sum)
+            nested = engine._outer is not None  # set exactly for a `Sum`
             key = (id(part_a), id(part_b))
             value = memo.get(key)
             if value is None:
@@ -553,12 +580,14 @@ class NormEngine:
 # Every coefficient is ±2^-d; the enumeration of K is in `oracles`.
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(Frozen):
     """Element of the norming set: rational coefficients, generation depth."""
 
-    coefficients: SparseVec
-    depth: int
+    _fields = ("coefficients", "depth")
+
+    def __init__(self, coefficients: SparseVec, depth: int):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "depth", depth)
 
     def __call__(self, y: SparseVec) -> Fraction:
         return inner_product(self.coefficients, y)

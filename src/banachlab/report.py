@@ -8,9 +8,10 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Union
+
+from .records import Record
 
 
 def encode_value(value):
@@ -28,9 +29,8 @@ def encode_value(value):
     return value
 
 
-@dataclass
-class VerifierReport:
-    """Outcome of one desk-scale verifier run.
+class VerifierReport(Record):
+    """Outcome of one desk-scale verifier run; mutable and unhashable.
 
     `passed` is True/False for the hard assertions (explicit constants)
     and the string "reported" where the claimed bound involves a
@@ -38,14 +38,27 @@ class VerifierReport:
     `max_ratio` when re-evaluated.
     """
 
-    lemma: str
-    params: dict
-    samples: int
-    max_ratio: Union[Fraction, float, None]
-    witness: Any
-    passed: Union[bool, str]
-    seed: Optional[int] = None
-    bound_claimed: str = ""
+    _fields = ("lemma", "params", "samples", "max_ratio", "witness", "passed", "seed", "bound_claimed")
+
+    def __init__(
+        self,
+        lemma: str,
+        params: dict,
+        samples: int,
+        max_ratio: Union[Fraction, float, None],
+        witness: Any,
+        passed: Union[bool, str],
+        seed: Optional[int] = None,
+        bound_claimed: str = "",
+    ):
+        self.lemma = lemma
+        self.params = params
+        self.samples = samples
+        self.max_ratio = max_ratio
+        self.witness = witness
+        self.passed = passed
+        self.seed = seed
+        self.bound_claimed = bound_claimed
 
     def to_dict(self) -> dict:
         return {

@@ -17,12 +17,12 @@ per index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .errors import InputError, ParseError
+from .records import Frozen
 from .vectors import SparseVec, parse_rational
 
 # p = None encodes infinity throughout this module.
@@ -33,12 +33,16 @@ PValue = Optional[Fraction]
 MAX_NESTING = 64
 
 
-@dataclass(frozen=True)
-class FGauge:
-    """Named gauge for the partition-scaled norm; f(l) >= 1, nondecreasing."""
+class FGauge(Frozen):
+    """Named gauge for the partition-scaled norm; f(l) >= 1, nondecreasing.
+    Gauges compare and hash by name."""
 
-    name: str
-    fn: Callable[[int], float] = field(compare=False)
+    _fields = ("name", "fn")
+    _compared = ("name",)
+
+    def __init__(self, name: str, fn: Callable[[int], float]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
 
     def __call__(self, l: int) -> float:
         return self.fn(l)
@@ -76,59 +80,60 @@ def get_gauge(name: str) -> FGauge:
         raise InputError(f"unknown gauge {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Lp:
-    p: PValue  # None means infinity
+class Lp(Frozen):
+    _fields = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and self.p < 1:
-            raise InputError(f"lp requires p >= 1, got {self.p}")
-
-
-@dataclass(frozen=True)
-class LpN:
-    p: PValue
-    n: int
-
-    def __post_init__(self):
-        if self.p is not None and self.p < 1:
-            raise InputError(f"lpn requires p >= 1, got {self.p}")
-        if self.n < 1:
-            raise InputError(f"lpn requires n >= 1, got {self.n}")
+    def __init__(self, p: PValue):  # None means infinity
+        if p is not None and p < 1:
+            raise InputError(f"lp requires p >= 1, got {p}")
+        object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class Tsirelson:
+class LpN(Frozen):
+    _fields = ("p", "n")
+
+    def __init__(self, p: PValue, n: int):
+        if p is not None and p < 1:
+            raise InputError(f"lpn requires p >= 1, got {p}")
+        if n < 1:
+            raise InputError(f"lpn requires n >= 1, got {n}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+
+class Tsirelson(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class TsirelsonDual:
+class TsirelsonDual(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class ModifiedTsirelson:
+class ModifiedTsirelson(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class Schlumprecht:
-    gauge: FGauge
+class Schlumprecht(Frozen):
+    _fields = ("gauge",)
+
+    def __init__(self, gauge: FGauge):
+        object.__setattr__(self, "gauge", gauge)
 
 
-@dataclass(frozen=True)
-class Repeat:
-    inner: "SpaceExpr"
+class Repeat(Frozen):
+    _fields = ("inner",)
+
+    def __init__(self, inner: "SpaceExpr"):
+        object.__setattr__(self, "inner", inner)
 
 
-@dataclass(frozen=True)
-class Indexed:
+class Indexed(Frozen):
     """Template with `#` standing for the outer coordinate index."""
 
-    template: str  # whitespace-stripped canonical text
+    _fields = ("template",)
 
-    def __post_init__(self):
+    def __init__(self, template: str):  # whitespace-stripped canonical text
+        object.__setattr__(self, "template", template)
         # Instantiating at 1 catches template nonsense at construction time.
         self.at(1)
 
@@ -141,14 +146,14 @@ class Indexed:
 InnerFamily = Union[Repeat, Indexed]
 
 
-@dataclass(frozen=True)
-class Sum:
-    outer: "SpaceExpr"
-    inner: InnerFamily
+class Sum(Frozen):
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        if isinstance(self.outer, Sum):
+    def __init__(self, outer: "SpaceExpr", inner: InnerFamily):
+        if isinstance(outer, Sum):
             raise InputError("the outer space of a sum must be a depth-1 space")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
         if space_depth(self) - 1 > MAX_NESTING:
             raise InputError(f"sums nested deeper than {MAX_NESTING}")
 

@@ -12,7 +12,6 @@ hard assertions.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -573,13 +572,15 @@ def _sampled_report(
             witness = {"instance": index, **report.to_dict()["witness"]}
         failed = failed or report.passed is False
         best = max(best, report.max_ratio)
-    return dataclasses.replace(
-        report,
-        samples=samples,
-        max_ratio=best,
-        witness=witness,
-        passed=False if failed else report.passed,
-        seed=seed,
+    return VerifierReport(
+        report.lemma,
+        report.params,
+        samples,
+        best,
+        witness,
+        False if failed else report.passed,
+        seed,
+        report.bound_claimed,
     )
 
 

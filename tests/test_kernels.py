@@ -1,14 +1,16 @@
 """The exact integer kernels against their oracles and against pins.
 
-`_TsirelsonDP` evaluates one part count per start and recovers the
-tie-breaks of a full (coordinate, start, part count, split) scan lazily,
-along the witness path only.  `StandardFormSimplex` runs Bland's rule on
-integer-scaled columns with a fraction-free basis update.  The oracles
-are the set-family recursion `brute_force_tsirelson`, the rational
-decomposition check and the dense-tableau reference LP.  `PINS` holds
-outputs of the earlier `Fraction` implementations of both kernels on
-fixed inputs; the integer kernels must reproduce them bit for bit, down
-to the witness, the tie-breaks and the order of the LP basis.
+`_TsirelsonDP` evaluates one part count per start, and
+`_TsirelsonWitness` recovers the tie-breaks of a full (coordinate,
+start, part count, split) scan along the witness path only, from the
+DP's own best sums where it filled them.  `StandardFormSimplex` runs
+Bland's rule on integer-scaled columns with a fraction-free basis
+update.  The oracles are the set-family recursion
+`brute_force_tsirelson`, the rational decomposition check and the
+dense-tableau reference LP.  `PINS` holds outputs of the earlier
+`Fraction` implementations of both kernels on fixed inputs; the integer
+kernels must reproduce them bit for bit, down to the witness, the
+tie-breaks and the order of the LP basis.
 """
 
 import random
@@ -20,7 +22,7 @@ import pytest
 from banachlab import dual
 from banachlab.caps import Caps
 from banachlab.dual import canonical_positions, dual01_pool, dual_norm
-from banachlab.norms import nonempty_subsets, tsirelson_norm, tsirelson_norm_witness
+from banachlab.norms import _TsirelsonWitness, nonempty_subsets, tsirelson_norm, tsirelson_norm_witness
 from banachlab.oracles import (
     _invert,
     brute_force_tsirelson,
@@ -77,6 +79,35 @@ class TestTsirelsonDP:
             small_start += x.leading_support()[0] <= 2
             check_dp(x)
         assert small_start >= 100
+
+    def test_best_sums_of_the_witness_equal_the_recursion(self):
+        # the witness reads best sums from the DP's tables inside their
+        # fill window; every (s, j, n), in it or not, against the plain
+        # recursion over the norm table, also where pos[0] > 1 narrows it
+        rng = random.Random(17)
+        narrowed = 0
+        for i in range(120):
+            start = 1 + i % 6
+            x = rational_vec(rng, 2 + i % 8, range(start, start + 12))
+            dp = _TsirelsonWitness(x)
+            memo = {}
+
+            def recursion(s, j, n):
+                if n == 1:
+                    return dp.table[s][j]
+                if (s, j, n) not in memo:
+                    memo[s, j, n] = max(
+                        dp.table[s][t] + recursion(t + 1, j, n - 1) for t in range(s, j - n + 2)
+                    )
+                return memo[s, j, n]
+
+            m = len(dp.pos)
+            for j in range(m):
+                for s in range(j + 1):
+                    for n in range(1, j - s + 2):
+                        assert dp.best_sum(s, j, n) == recursion(s, j, n), (x, s, j, n)
+                        narrowed += 2 < min(dp.pos[0] - s, j - s + 1)
+        assert narrowed >= 100
 
     def test_long_support_is_iterative(self):
         # with min(E_1) >= the support size every family is admissible, so
